@@ -1,0 +1,214 @@
+"""Command-line surface: layout dumps, diagnostics, and the invariant suite.
+
+Exit codes: 0 success, 1 selfcheck failure, 2 bad flags or parse errors,
+3 I/O failures. All outputs are byte-identical across runs for identical
+flags (Monte-Carlo included, via --seed).
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+
+from .diagnostics import (
+    TrialConfig,
+    boundary_csv,
+    boundary_score_table,
+    decay_csv,
+    decay_curve,
+    heatmap,
+    heatmap_csv,
+    monte_carlo_heatmap,
+    softmax_grid,
+)
+from .errors import RopelabError
+from .layout import TextSegment, VideoSegment, build_layout, layout_csv, parse_layout_spec
+from .rotary import build_frequency_schedule
+from .schemes import SCHEME_IDS, SchemeConfig, VideoGrid
+from .selfcheck import run_selfcheck
+from .svg import heatmap_svg
+
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_USAGE = 2
+EXIT_IO = 3
+
+# text run placed before the video by the `boundary` subcommand
+BOUNDARY_PROMPT_TOKENS = 8
+
+
+def _video_arg(value: str) -> VideoGrid:
+    m = re.fullmatch(r"(\d+)x(\d+)x(\d+)", value.strip())
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected WxHxT, got {value!r}")
+    width, height, frames = (int(g) for g in m.groups())
+    if min(width, height, frames) < 1:
+        raise argparse.ArgumentTypeError(f"video sizes must be >= 1, got {value!r}")
+    return VideoGrid(width, height, frames)
+
+
+def _partition_arg(value: str) -> tuple[int, int, int]:
+    m = re.fullmatch(r"(\d+):(\d+):(\d+)", value.strip())
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected t:h:w pair counts, got {value!r}")
+    return tuple(int(g) for g in m.groups())
+
+
+def _positive_arg(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
+def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, default=64, help="head dimension (even, default 64)")
+    parser.add_argument("--base", type=float, default=10000.0, help="frequency base (default 10000)")
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default="-", help="output path; '-' or omitted writes stdout")
+
+
+def _write(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
+def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
+    scheme = scheme if scheme is not None else args.scheme
+    partition = getattr(args, "partition", None)
+    if partition is not None and scheme != "rope3d":
+        raise RopelabError("--partition is only supported with --scheme rope3d")
+    return SchemeConfig(scheme, d=args.d, base=args.base, partition=partition)
+
+
+def _cmd_positions(args) -> int:
+    config = _scheme_config(args)
+    segments = parse_layout_spec(args.layout)
+    _write(args.out, layout_csv(build_layout(segments, config)))
+    return EXIT_OK
+
+
+def _heatmap_query(config: SchemeConfig, grid: VideoGrid, query_gap: int):
+    layout = build_layout([VideoSegment(grid), TextSegment(query_gap)], config)
+    return layout.tokens[-1].position
+
+
+def _cmd_heatmap(args) -> int:
+    config = _scheme_config(args)
+    query = _heatmap_query(config, args.video, args.query_gap)
+    if args.mc:
+        trial_config = TrialConfig(seed=args.seed, trials=args.trials, d=args.d, base=args.base)
+        grid = monte_carlo_heatmap(config, args.video, args.frame, query, trial_config)
+    else:
+        grid = heatmap(config, args.video, args.frame, query)
+    if args.softmax:
+        grid = softmax_grid(grid)
+    _write(args.out, heatmap_csv(grid))
+    if args.svg:
+        _write(args.svg, heatmap_svg(grid))
+    return EXIT_OK
+
+
+def _cmd_decay(args) -> int:
+    schedule = build_frequency_schedule(args.base, args.d)
+    _write(args.out, decay_csv(decay_curve(schedule, args.max_delta)))
+    return EXIT_OK
+
+
+def _cmd_boundary(args) -> int:
+    schemes = SCHEME_IDS if args.scheme == "all" else (args.scheme,)
+    rows = []
+    for scheme in schemes:
+        config = _scheme_config(args, scheme)
+        layout = build_layout(
+            [TextSegment(BOUNDARY_PROMPT_TOKENS), VideoSegment(args.video), TextSegment(1)],
+            config,
+        )
+        rows.extend(boundary_score_table(layout))
+    _write(args.out, boundary_csv(rows))
+    return EXIT_OK
+
+
+def _cmd_selfcheck(args) -> int:
+    return EXIT_CHECK_FAILED if run_selfcheck() else EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ropelab",
+        description="Positional-encoding layouts and attention-score diagnostics "
+        "for interleaved video-text sequences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    positions = sub.add_parser("positions", help="resolve a layout spec to a position CSV")
+    positions.add_argument("--scheme", choices=SCHEME_IDS, required=True)
+    positions.add_argument(
+        "--layout", required=True, help='layout spec, e.g. "text:2,video:2x2x1,text:1"'
+    )
+    positions.add_argument("--partition", type=_partition_arg, help="t:h:w pair counts (rope3d)")
+    _add_numeric_flags(positions)
+    _add_out_flag(positions)
+    positions.set_defaults(func=_cmd_positions)
+
+    heat = sub.add_parser("heatmap", help="expected-score heatmap over one frame")
+    heat.add_argument("--scheme", choices=SCHEME_IDS, required=True)
+    heat.add_argument("--video", type=_video_arg, required=True, help="grid as WxHxT")
+    heat.add_argument("--frame", type=int, default=0, help="frame index (default 0)")
+    heat.add_argument(
+        "--query-gap",
+        type=_positive_arg,
+        default=1,
+        help="query = first post-video text position plus gap-1 (default 1)",
+    )
+    heat.add_argument("--partition", type=_partition_arg, help="t:h:w pair counts (rope3d)")
+    heat.add_argument("--svg", help="also render the grid to this SVG path")
+    heat.add_argument("--mc", action="store_true", help="Monte-Carlo estimate instead of closed form")
+    heat.add_argument("--seed", type=int, default=0, help="Monte-Carlo master seed (default 0)")
+    heat.add_argument("--trials", type=_positive_arg, default=10000, help="Monte-Carlo trials")
+    heat.add_argument(
+        "--softmax", action="store_true", help="softmax over the frame (visualization only)"
+    )
+    _add_numeric_flags(heat)
+    _add_out_flag(heat)
+    heat.set_defaults(func=_cmd_heatmap)
+
+    decay = sub.add_parser("decay", help="expected self-score vs position offset")
+    decay.add_argument("--max-delta", type=_positive_arg, required=True)
+    _add_numeric_flags(decay)
+    _add_out_flag(decay)
+    decay.set_defaults(func=_cmd_decay)
+
+    boundary = sub.add_parser("boundary", help="video-text boundary score table")
+    boundary.add_argument("--scheme", choices=SCHEME_IDS + ("all",), required=True)
+    boundary.add_argument("--video", type=_video_arg, required=True, help="grid as WxHxT")
+    _add_numeric_flags(boundary)
+    _add_out_flag(boundary)
+    boundary.set_defaults(func=_cmd_boundary)
+
+    selfcheck = sub.add_parser("selfcheck", help="run the invariant suite")
+    selfcheck.set_defaults(func=_cmd_selfcheck)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except RopelabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,255 @@
+"""Per-token position vectors and channel-group allocation for six schemes.
+
+Supported scheme ids:
+
+* ``rope1d``       -- raster-flattened scalar positions, one channel group.
+* ``rope2d``       -- spatial (w, h) positions, two groups, frames repeat.
+* ``rope3d``       -- (t, h, w) positions over three contiguous groups.
+* ``rope_share``   -- one shared scalar id per frame.
+* ``rope_compact`` -- rope3d for video, anisotropic text continuation.
+* ``vrope``        -- four symmetric diagonal indices, center-aligned per
+  frame and advanced by ``H + W - 1`` per frame step, groups interleaved
+  ``j mod 4``.
+
+Coordinates are 0-based throughout. Text tokens take the same scalar
+position in every group, so rotating a text token under any scheme matches
+plain 1-D rotary encoding at that position.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
+from .rotary import FrequencySchedule, build_frequency_schedule, rotate
+
+SCHEME_IDS: tuple[str, ...] = (
+    "rope1d",
+    "rope2d",
+    "rope3d",
+    "rope_share",
+    "rope_compact",
+    "vrope",
+)
+
+_GROUP_COUNTS = {
+    "rope1d": 1,
+    "rope_share": 1,
+    "rope2d": 2,
+    "rope3d": 3,
+    "rope_compact": 3,
+    "vrope": 4,
+}
+
+# A position vector: one integer coordinate per channel group.
+PositionVector = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class VideoGrid:
+    """Token grid of one video: ``width x height`` cells over ``frames`` frames."""
+
+    width: int
+    height: int
+    frames: int
+
+    def __post_init__(self):
+        for name, value in (("width", self.width), ("height", self.height), ("frames", self.frames)):
+            if value < 1:
+                raise ParameterError(f"grid {name} must be >= 1, got {value}")
+
+    @property
+    def tokens_per_frame(self) -> int:
+        return self.width * self.height
+
+    @property
+    def token_count(self) -> int:
+        return self.width * self.height * self.frames
+
+
+@dataclass(frozen=True)
+class TokenCoordinate:
+    """0-based cell coordinate of a video token: column ``w``, row ``h``, frame ``t``."""
+
+    w: int
+    h: int
+    t: int
+
+
+class SymmetricIndices(NamedTuple):
+    """The four diagonal arrangements ``(w+h, w-h, -w-h, -w+h)`` of a cell.
+
+    Always satisfies ``u1 + u3 == 0`` and ``u2 + u4 == 0``.
+    """
+
+    u1: int
+    u2: int
+    u3: int
+    u4: int
+
+
+@dataclass(frozen=True)
+class SchemeConfig:
+    """A scheme id plus head dimension, base, and optional channel partition.
+
+    ``partition`` gives the number of channel pairs per group for rope2d
+    (two sizes, order w/h) and rope3d/rope_compact (three sizes, order
+    t/h/w); it must sum to ``d/2``. vrope's interleaved allocation is fixed
+    and takes no partition.
+    """
+
+    scheme: str
+    d: int = 64
+    base: float = 10000.0
+    partition: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.scheme not in SCHEME_IDS:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_IDS}")
+        if self.d < 2 or self.d % 2 != 0:
+            raise DimensionError(f"head dimension must be an even integer >= 2, got {self.d}")
+        if self.base <= 0:
+            raise ParameterError(f"base must be > 0, got {self.base}")
+        if self.scheme == "vrope" and self.pairs % 4 != 0:
+            raise ConfigError(f"vrope needs d/2 divisible by 4, got d={self.d}")
+        if self.scheme == "rope2d" and self.pairs % 2 != 0:
+            raise ConfigError(f"rope2d needs d/2 divisible by 2, got d={self.d}")
+        if self.partition is not None:
+            object.__setattr__(self, "partition", tuple(int(s) for s in self.partition))
+            if self.scheme not in ("rope2d", "rope3d", "rope_compact"):
+                raise ConfigError(f"{self.scheme} does not take a partition")
+            expected = _GROUP_COUNTS[self.scheme]
+            if len(self.partition) != expected:
+                raise ConfigError(
+                    f"{self.scheme} partition needs {expected} sizes, got {len(self.partition)}"
+                )
+            if any(s < 1 for s in self.partition):
+                raise ConfigError(f"partition sizes must be >= 1, got {self.partition}")
+            if sum(self.partition) != self.pairs:
+                raise ConfigError(
+                    f"partition {self.partition} sums to {sum(self.partition)}, "
+                    f"expected d/2 = {self.pairs}"
+                )
+
+    @property
+    def pairs(self) -> int:
+        return self.d // 2
+
+    @property
+    def group_count(self) -> int:
+        return _GROUP_COUNTS[self.scheme]
+
+    def schedule(self) -> FrequencySchedule:
+        return build_frequency_schedule(self.base, self.d)
+
+
+def _check_coordinate(coord: TokenCoordinate, grid: VideoGrid) -> None:
+    if not (0 <= coord.w < grid.width and 0 <= coord.h < grid.height and 0 <= coord.t < grid.frames):
+        raise CoordinateError(
+            f"coordinate (w={coord.w}, h={coord.h}, t={coord.t}) outside "
+            f"{grid.width}x{grid.height}x{grid.frames} grid"
+        )
+
+
+def symmetric_indices(coord: TokenCoordinate) -> SymmetricIndices:
+    """Four diagonal position indices of a cell, one per arrangement direction."""
+    w, h = coord.w, coord.h
+    return SymmetricIndices(w + h, w - h, -w - h, -w + h)
+
+
+def center_align(u: SymmetricIndices, grid: VideoGrid, p_start: int) -> PositionVector:
+    """Shift the four diagonal indices so the frame center sits at ``p_start``-aligned isotropy.
+
+    After the shift, the center cell of an odd-sized frame has all four
+    values equal, matching how text positions look to the rotary kernel.
+    """
+    height, width = grid.height, grid.width
+    return (
+        u.u1 + p_start,
+        u.u2 + height - 1 + p_start,
+        u.u3 + height + width - 2 + p_start,
+        u.u4 + width - 1 + p_start,
+    )
+
+
+def temporal_offset(v: PositionVector, t: int, grid: VideoGrid) -> PositionVector:
+    """Advance a frame-0 position vector to frame ``t`` by ``t * (H + W - 1)`` per dim."""
+    if not 0 <= t < grid.frames:
+        raise CoordinateError(f"frame index {t} outside [0, {grid.frames - 1}]")
+    step = t * (grid.height + grid.width - 1)
+    return tuple(x + step for x in v)
+
+
+def vrope_position(coord: TokenCoordinate, grid: VideoGrid, p_start: int) -> PositionVector:
+    """Center-aligned, temporally advanced 4-dim position of a video token."""
+    _check_coordinate(coord, grid)
+    return temporal_offset(center_align(symmetric_indices(coord), grid, p_start), coord.t, grid)
+
+
+def scheme_position(
+    config: SchemeConfig, coord: TokenCoordinate, grid: VideoGrid, p_start: int
+) -> PositionVector:
+    """Position vector of a video token under the configured scheme."""
+    _check_coordinate(coord, grid)
+    w, h, t = coord.w, coord.h, coord.t
+    if config.scheme == "rope1d":
+        return (p_start + t * grid.tokens_per_frame + h * grid.width + w,)
+    if config.scheme == "rope2d":
+        return (p_start + w, p_start + h)
+    if config.scheme in ("rope3d", "rope_compact"):
+        return (p_start + t, p_start + h, p_start + w)
+    if config.scheme == "rope_share":
+        return (p_start + 1 + t,)
+    return vrope_position(coord, grid, p_start)
+
+
+def _default_partition(config: SchemeConfig) -> tuple[int, ...]:
+    pairs = config.pairs
+    if config.scheme == "rope2d":
+        return (pairs // 2, pairs // 2)
+    # rope3d / rope_compact: equal thirds, remainder to the leading t group
+    third = pairs // 3
+    return (pairs - 2 * third, third, third)
+
+
+def group_allocation(config: SchemeConfig) -> np.ndarray:
+    """Map each channel-pair index ``j`` to the group (dim index) it encodes.
+
+    vrope interleaves groups as ``j mod 4`` so every group spans the whole
+    frequency range; the block schemes assign contiguous runs of pairs.
+    """
+    pairs = config.pairs
+    if config.scheme == "vrope":
+        alloc = np.arange(pairs, dtype=np.intp) % 4
+    elif config.scheme in ("rope1d", "rope_share"):
+        alloc = np.zeros(pairs, dtype=np.intp)
+    else:
+        sizes = config.partition if config.partition is not None else _default_partition(config)
+        alloc = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    alloc.setflags(write=False)
+    return alloc
+
+
+def text_position(m: int, config: SchemeConfig) -> PositionVector:
+    """Isotropic position of a text token: every group reads the scalar ``m``."""
+    return (m,) * config.group_count
+
+
+def pair_positions(position, config: SchemeConfig) -> np.ndarray:
+    """Expand a position vector to one value per channel pair via the allocation."""
+    position = np.asarray(position, dtype=np.float64)
+    if position.ndim != 1 or position.size != config.group_count:
+        raise DimensionError(
+            f"{config.scheme} position needs {config.group_count} dims, "
+            f"got shape {position.shape}"
+        )
+    return position[group_allocation(config)]
+
+
+def rotate_with_scheme(x, position, config: SchemeConfig) -> np.ndarray:
+    """Rotate an embedding vector at a (possibly multi-dim) position under a scheme."""
+    schedule = config.schedule()
+    return rotate(x, pair_positions(position, config) * schedule.theta)
