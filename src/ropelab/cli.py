@@ -39,7 +39,7 @@ BOUNDARY_PROMPT_TOKENS = 8
 
 
 def _video_arg(value: str) -> VideoGrid:
-    m = re.fullmatch(r"(\d+)x(\d+)x(\d+)", value.strip())
+    m = re.fullmatch(r"([0-9]+)x([0-9]+)x([0-9]+)", value.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected WxHxT, got {value!r}")
     width, height, frames = (int(g) for g in m.groups())
@@ -49,7 +49,7 @@ def _video_arg(value: str) -> VideoGrid:
 
 
 def _partition_arg(value: str) -> tuple[int, int, int]:
-    m = re.fullmatch(r"(\d+):(\d+):(\d+)", value.strip())
+    m = re.fullmatch(r"([0-9]+):([0-9]+):([0-9]+)", value.strip())
     if not m:
         raise argparse.ArgumentTypeError(f"expected t:h:w pair counts, got {value!r}")
     return tuple(int(g) for g in m.groups())

@@ -17,17 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
-from .layout import TextSegment, TokenLayout, VideoSegment
-from .rotary import FrequencySchedule, expected_self_score
+from .layout import TokenLayout, video_text_boundaries
+from .rotary import FrequencySchedule, check_head_params, expected_self_score
 from .schemes import (
     PositionVector,
     SchemeConfig,
-    TokenCoordinate,
     VideoGrid,
     group_allocation,
     pair_positions,
-    scheme_position,
+    video_positions,
 )
+
+# key rows per block in boundary_score_table
+BOUNDARY_KEY_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,7 @@ class TrialConfig:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.d < 2 or self.d % 2 != 0:
-            raise DimensionError(f"head dimension must be an even integer >= 2, got {self.d}")
-        if self.base <= 0:
-            raise ParameterError(f"base must be > 0, got {self.base}")
+        check_head_params(self.d, self.base)
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,10 @@ def _frame_pair_positions(
     """Per-pair positions of every cell of one frame, shape (W, H, pairs)."""
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
-    alloc = group_allocation(config)
-    cells = np.empty((grid.width, grid.height, config.group_count), dtype=np.float64)
-    for w in range(grid.width):
-        for h in range(grid.height):
-            cells[w, h] = scheme_position(config, TokenCoordinate(w, h, frame), grid, 0)
-    return cells[:, :, alloc]
+    w = np.arange(grid.width)[:, None]
+    h = np.arange(grid.height)[None, :]
+    cells = video_positions(config, w, h, frame, grid, 0)
+    return cells[:, :, group_allocation(config)]
 
 
 def heatmap(
@@ -181,33 +178,28 @@ def boundary_score_table(
     The query is the first text token after the first video-to-text segment
     boundary; key sets are all video tokens and all text tokens preceding
     the query. Returns an empty tuple when the layout has no such boundary.
+
+    Keys are scored ``BOUNDARY_KEY_CHUNK`` rows at a time, so memory stays
+    bounded by the chunk, not by the key count times ``d/2``.
     """
     config = layout.scheme
     schedule = _resolve_schedule(config, schedule)
-    query_index = None
-    for index in range(len(layout.segments) - 1):
-        if isinstance(layout.segments[index], VideoSegment) and isinstance(
-            layout.segments[index + 1], TextSegment
-        ):
-            query_index = next(
-                i for i, tok in enumerate(layout.tokens) if tok.segment_index == index + 1
-            )
-            break
-    if query_index is None:
+    boundaries = video_text_boundaries(layout.segments)
+    if not boundaries:
         return ()
-    query = pair_positions(layout.tokens[query_index].position, config)
+    query_index = boundaries[0][1].stop
+    alloc = group_allocation(config)
+    query = layout.positions[query_index, alloc].astype(np.float64)
+    scores = np.empty(query_index, dtype=np.float64)
+    for start in range(0, query_index, BOUNDARY_KEY_CHUNK):
+        keys = layout.positions[start : min(start + BOUNDARY_KEY_CHUNK, query_index)][:, alloc]
+        scores[start : start + len(keys)] = np.cos((query - keys) * schedule.theta).mean(axis=1)
+    is_video = layout.is_video[:query_index]
     rows: list[BoundaryScore] = []
-    for target in ("video", "text"):
-        keys = [
-            tok.position
-            for tok in layout.tokens[:query_index]
-            if tok.modality == target
-        ]
-        if not keys:
-            continue
-        key_pairs = np.array([pair_positions(pos, config) for pos in keys])
-        scores = np.cos((query - key_pairs) * schedule.theta).mean(axis=1)
-        rows.append(BoundaryScore(config.scheme, target, float(scores.mean())))
+    for target, mask in (("video", is_video), ("text", ~is_video)):
+        selected = scores[mask]
+        if selected.size:
+            rows.append(BoundaryScore(config.scheme, target, float(selected.mean())))
     return tuple(rows)
 
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import LayoutParseError, ParameterError
 from .schemes import (
@@ -21,9 +25,11 @@ from .schemes import (
     SchemeConfig,
     TokenCoordinate,
     VideoGrid,
-    scheme_position,
-    text_position,
+    video_positions,
 )
+
+# rows per block when converting layout arrays to Python objects or CSV text
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -36,12 +42,20 @@ class TextSegment:
         if self.count < 1:
             raise ParameterError(f"text segment needs count >= 1, got {self.count}")
 
+    @property
+    def token_count(self) -> int:
+        return self.count
+
 
 @dataclass(frozen=True)
 class VideoSegment:
     """One video, laid out as a token grid."""
 
     grid: VideoGrid
+
+    @property
+    def token_count(self) -> int:
+        return self.grid.token_count
 
 
 Segment = TextSegment | VideoSegment
@@ -58,17 +72,99 @@ class LayoutToken:
     position: PositionVector
 
 
-@dataclass(frozen=True)
+class LayoutTokens(Sequence):
+    """Read-only per-token view of a :class:`TokenLayout`.
+
+    Tokens are built from the layout's arrays when accessed; ``len()`` costs
+    O(1). The view compares equal to a tuple, or another view, holding the
+    same tokens in the same order.
+    """
+
+    __slots__ = ("_layout",)
+
+    def __init__(self, layout: TokenLayout):
+        self._layout = layout
+
+    def __len__(self) -> int:
+        return len(self._layout.positions)
+
+    def _build(self, start: int, stop: int) -> list[LayoutToken]:
+        layout = self._layout
+        rows = zip(
+            layout.segment_index[start:stop].tolist(),
+            layout.is_video[start:stop].tolist(),
+            layout.coords[start:stop].tolist(),
+            layout.ordinal[start:stop].tolist(),
+            layout.positions[start:stop].tolist(),
+        )
+        return [
+            LayoutToken("video", segment, TokenCoordinate(*coord), None, tuple(position))
+            if video
+            else LayoutToken("text", segment, None, ordinal, tuple(position))
+            for segment, video, coord, ordinal, position in rows
+        ]
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # normalizes negatives, raises IndexError
+        if isinstance(picked, int):
+            return self._build(picked, picked + 1)[0]
+        if picked.step == 1:
+            return tuple(self._build(picked.start, picked.stop))
+        return tuple(self[i] for i in picked)
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK_ROWS):
+            yield from self._build(start, start + _CHUNK_ROWS)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, LayoutTokens)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<LayoutTokens of {len(self)} tokens>"
+
+
+_ARRAY_FIELDS = ("positions", "segment_index", "is_video", "coords", "ordinal")
+
+
+@dataclass(frozen=True, eq=False)
 class TokenLayout:
-    """All tokens of a sequence in order, with the scheme that produced them.
+    """All tokens of a sequence in order, stored as arrays, with their scheme.
+
+    Row ``i`` of every array describes token ``i``:
+
+    * ``positions``: (N, G) int64, one column per channel group;
+    * ``segment_index``: (N,) int64, the owning segment;
+    * ``is_video``: (N,) bool, the modality;
+    * ``coords``: (N, 3) int64 columns ``w, h, t`` of video tokens, -1 on text rows;
+    * ``ordinal``: (N,) int64 offset of a text token within its segment, -1 on video rows.
 
     Video tokens appear in raster order (frame outer, then row, then
     column); text positions increase by one per token within a segment.
+    The arrays are read-only; :attr:`tokens` derives per-token objects
+    from them.
     """
 
     scheme: SchemeConfig
     segments: tuple[Segment, ...]
-    tokens: tuple[LayoutToken, ...]
+    positions: np.ndarray
+    segment_index: np.ndarray
+    is_video: np.ndarray
+    coords: np.ndarray
+    ordinal: np.ndarray
+
+    @property
+    def tokens(self) -> LayoutTokens:
+        """Per-token view of the arrays (see :class:`LayoutTokens`)."""
+        return LayoutTokens(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, TokenLayout):
+            return NotImplemented
+        return (self.scheme, self.segments) == (other.scheme, other.segments) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAY_FIELDS
+        )
 
 
 @dataclass(frozen=True)
@@ -84,8 +180,8 @@ class BoundaryGap:
     per_dim: tuple[int, ...]
 
 
-_TEXT_RE = re.compile(r"^\s*text\s*:\s*(\d+)\s*$")
-_VIDEO_RE = re.compile(r"^\s*video\s*:\s*(\d+)\s*x\s*(\d+)\s*x\s*(\d+)\s*$")
+_TEXT_RE = re.compile(r"^\s*text\s*:\s*([0-9]+)\s*$")
+_VIDEO_RE = re.compile(r"^\s*video\s*:\s*([0-9]+)\s*x\s*([0-9]+)\s*x\s*([0-9]+)\s*$")
 
 
 def parse_layout_spec(spec: str) -> tuple[Segment, ...]:
@@ -159,40 +255,70 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     * rope_compact continues text after a video anisotropically at
       ``(p+T+1, p+H+1, p+W+1)`` (dims t/h/w), advancing every dim by one
       per text token; a later video starts one past the largest dim seen.
+
+    Each segment's rows are filled at once: text from a range, video from
+    the grid's cell indices through :func:`~ropelab.schemes.video_positions`.
     """
     segments = tuple(segments)
     if not segments:
         raise ParameterError("segment list is empty")
-    tokens: list[LayoutToken] = []
+    sizes = [segment.token_count for segment in segments]
+    total = sum(sizes)
+    positions = np.empty((total, scheme.group_count), dtype=np.int64)
+    coords = np.full((total, 3), -1, dtype=np.int64)
+    ordinal = np.full(total, -1, dtype=np.int64)
     compact = scheme.scheme == "rope_compact"
     cursor: PositionVector = (0, 0, 0)  # rope_compact: next text token's dims
     p = 0
-    for index, segment in enumerate(segments):
+    for segment, rows in zip(segments, _segment_slices(sizes)):
         if isinstance(segment, TextSegment):
-            for ordinal in range(segment.count):
-                if compact:
-                    position = cursor
-                    cursor = tuple(v + 1 for v in cursor)
-                else:
-                    position = text_position(p + ordinal, scheme)
-                tokens.append(LayoutToken("text", index, None, ordinal, position))
-            if not compact:
+            steps = np.arange(segment.count, dtype=np.int64)
+            ordinal[rows] = steps
+            if compact:
+                positions[rows] = np.add.outer(steps, cursor)
+                cursor = tuple(v + segment.count for v in cursor)
+            else:
+                positions[rows] = (p + steps)[:, None]
                 p += segment.count
         else:
             grid = segment.grid
             if compact:
                 p = max(cursor)
-            for t in range(grid.frames):
-                for h in range(grid.height):
-                    for w in range(grid.width):
-                        coord = TokenCoordinate(w, h, t)
-                        position = scheme_position(scheme, coord, grid, p)
-                        tokens.append(LayoutToken("video", index, coord, None, position))
+            cells = np.indices((grid.frames, grid.height, grid.width), dtype=np.int64)
+            t, h, w = cells.reshape(3, -1)
+            coords[rows] = np.stack((w, h, t), axis=1)
+            positions[rows] = video_positions(scheme, w, h, t, grid, p)
             if compact:
                 cursor = (p + grid.frames + 1, p + grid.height + 1, p + grid.width + 1)
             else:
                 p = _video_continuation(scheme.scheme, grid, p)
-    return TokenLayout(scheme=scheme, segments=segments, tokens=tuple(tokens))
+    segment_index = np.repeat(np.arange(len(segments), dtype=np.int64), sizes)
+    is_video = np.repeat([isinstance(segment, VideoSegment) for segment in segments], sizes)
+    layout = TokenLayout(scheme, segments, positions, segment_index, is_video, coords, ordinal)
+    for name in _ARRAY_FIELDS:
+        getattr(layout, name).setflags(write=False)
+    return layout
+
+
+def _segment_slices(sizes) -> list[slice]:
+    """Row range of each segment, given the segments' token counts."""
+    starts = [0, *itertools.accumulate(sizes)]
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
+
+
+def video_text_boundaries(segments) -> list[tuple[int, slice]]:
+    """``(video segment index, its rows)`` for every video segment followed by text.
+
+    In sequence order; the following text segment's first row is the
+    slice's ``stop``.
+    """
+    slices = _segment_slices(segment.token_count for segment in segments)
+    return [
+        (index, slices[index])
+        for index in range(len(segments) - 1)
+        if isinstance(segments[index], VideoSegment)
+        and isinstance(segments[index + 1], TextSegment)
+    ]
 
 
 def boundary_gaps(layout: TokenLayout) -> tuple[BoundaryGap, ...]:
@@ -200,40 +326,62 @@ def boundary_gaps(layout: TokenLayout) -> tuple[BoundaryGap, ...]:
 
     Returns an empty tuple when the layout has no such boundary.
     """
-    gaps: list[BoundaryGap] = []
-    for index in range(len(layout.segments) - 1):
-        if not (
-            isinstance(layout.segments[index], VideoSegment)
-            and isinstance(layout.segments[index + 1], TextSegment)
-        ):
-            continue
-        video_positions = [tok.position for tok in layout.tokens if tok.segment_index == index]
-        first_text = next(tok for tok in layout.tokens if tok.segment_index == index + 1)
-        dims = len(first_text.position)
-        maxima = tuple(max(pos[i] for pos in video_positions) for i in range(dims))
-        per_dim = tuple(first_text.position[i] - maxima[i] for i in range(dims))
-        gaps.append(BoundaryGap(index, index + 1, per_dim))
-    return tuple(gaps)
+    return tuple(
+        BoundaryGap(
+            index,
+            index + 1,
+            tuple((layout.positions[video.stop] - layout.positions[video].max(axis=0)).tolist()),
+        )
+        for index, video in video_text_boundaries(layout.segments)
+    )
 
 
 LAYOUT_CSV_HEADER = "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim3"
 
 
 def layout_csv(layout: TokenLayout) -> str:
-    """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty."""
-    lines = [LAYOUT_CSV_HEADER]
-    for index, tok in enumerate(layout.tokens):
-        if tok.coord is not None:
-            w, h, t = str(tok.coord.w), str(tok.coord.h), str(tok.coord.t)
+    """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
+
+    Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, from
+    ``tolist()`` slices of the arrays.
+    """
+    groups = layout.scheme.group_count
+    dims = ",%d" * groups + "," * (4 - groups)
+    pieces = [LAYOUT_CSV_HEADER, "\n"]
+    slices = _segment_slices(segment.token_count for segment in layout.segments)
+    for index, (segment, rows) in enumerate(zip(layout.segments, slices)):
+        if isinstance(segment, VideoSegment):
+            row_format = f"%d,video,{index},%d,%d,%d{dims}"
+            columns = [layout.coords[:, 0], layout.coords[:, 1], layout.coords[:, 2]]
         else:
-            w = h = t = ""
-        dims = [str(v) for v in tok.position] + [""] * (4 - len(tok.position))
-        lines.append(",".join([str(index), tok.modality, str(tok.segment_index), w, h, t, *dims]))
-    return "\n".join(lines) + "\n"
+            row_format = f"%d,text,{index},,,{dims}"
+            columns = []
+        columns += [layout.positions[:, g] for g in range(groups)]
+        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, rows.stop)
+            values = [range(start, stop)] + [column[start:stop].tolist() for column in columns]
+            pieces.append("\n".join([row_format % row for row in zip(*values)]))
+            pieces.append("\n")
+    return "".join(pieces)
+
+
+_CSV_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _csv_int(cell: str, column: str, row_number: int) -> int:
+    if not _CSV_INT_RE.fullmatch(cell):
+        raise LayoutParseError(f"row {row_number}: {column} must be an integer, got {cell!r}")
+    return int(cell)
 
 
 def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
-    """Reconstruct the token sequence from a layout CSV produced by :func:`layout_csv`."""
+    """Reconstruct the token sequence from a layout CSV produced by :func:`layout_csv`.
+
+    Raises:
+        LayoutParseError: on a foreign header, a wrong column count, an
+            unknown modality, or an empty or non-integer cell where a number
+            belongs. Messages name the 1-based CSV row (the header is row 1).
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -243,19 +391,30 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         raise LayoutParseError(f"unexpected layout CSV header: {','.join(header)!r}")
     tokens: list[LayoutToken] = []
     text_ordinals: dict[int, int] = {}
-    for row in reader:
+    for row_number, row in enumerate(reader, start=2):
         if len(row) != 10:
-            raise LayoutParseError(f"expected 10 columns, got {len(row)}: {row!r}")
-        _, modality, segment_index, w, h, t, *dims = row
-        segment = int(segment_index)
-        position = tuple(int(v) for v in dims if v != "")
+            raise LayoutParseError(
+                f"row {row_number}: expected 10 columns, got {len(row)}: {row!r}"
+            )
+        token_index, modality, segment_index, w, h, t, *dims = row
+        if modality not in ("video", "text"):
+            raise LayoutParseError(f"row {row_number}: unknown modality {modality!r}")
+        _csv_int(token_index, "token_index", row_number)
+        segment = _csv_int(segment_index, "segment_index", row_number)
+        # dims fill dim0.. in order; a scheme's unused trailing dims are empty
+        used = dims.index("") if "" in dims else len(dims)
+        if any(dims[used:]):
+            raise LayoutParseError(f"row {row_number}: dim{used} is empty before a filled dim")
+        position = tuple(
+            _csv_int(v, f"dim{i}", row_number) for i, v in enumerate(dims[: max(used, 1)])
+        )
         if modality == "video":
-            coord = TokenCoordinate(int(w), int(h), int(t))
+            coord = TokenCoordinate(
+                *(_csv_int(cell, name, row_number) for cell, name in ((w, "w"), (h, "h"), (t, "t")))
+            )
             tokens.append(LayoutToken("video", segment, coord, None, position))
-        elif modality == "text":
+        else:
             ordinal = text_ordinals.get(segment, 0)
             text_ordinals[segment] = ordinal + 1
             tokens.append(LayoutToken("text", segment, None, ordinal, position))
-        else:
-            raise LayoutParseError(f"unknown modality {modality!r}")
     return tuple(tokens)

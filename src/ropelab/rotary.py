@@ -8,6 +8,7 @@ All math is double precision; every function is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,27 @@ class FrequencySchedule:
         return self.d // 2
 
 
+def check_head_params(d: int, base: float) -> None:
+    """Validate a head dimension and frequency base.
+
+    Raises:
+        DimensionError: if ``d`` is odd or smaller than 2.
+        ParameterError: if ``base`` is not finite or not strictly positive.
+    """
+    if d < 2 or d % 2 != 0:
+        raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
+    if not (math.isfinite(base) and base > 0):
+        raise ParameterError(f"base must be finite and > 0, got {base}")
+
+
 def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:
     """Build the rotation-frequency schedule for head dimension ``d``.
 
     Raises:
         DimensionError: if ``d`` is odd or smaller than 2.
-        ParameterError: if ``base`` is not strictly positive.
+        ParameterError: if ``base`` is not finite or not strictly positive.
     """
-    if d < 2 or d % 2 != 0:
-        raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
-    if base <= 0:
-        raise ParameterError(f"base must be > 0, got {base}")
+    check_head_params(d, base)
     j = np.arange(d // 2, dtype=np.float64)
     theta = float(base) ** (-2.0 * j / d)
     theta.setflags(write=False)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
-from .rotary import FrequencySchedule, build_frequency_schedule, rotate
+from .rotary import FrequencySchedule, build_frequency_schedule, check_head_params, rotate
 
 SCHEME_IDS: tuple[str, ...] = (
     "rope1d",
@@ -109,10 +109,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEME_IDS:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_IDS}")
-        if self.d < 2 or self.d % 2 != 0:
-            raise DimensionError(f"head dimension must be an even integer >= 2, got {self.d}")
-        if self.base <= 0:
-            raise ParameterError(f"base must be > 0, got {self.base}")
+        check_head_params(self.d, self.base)
         if self.scheme == "vrope" and self.pairs % 4 != 0:
             raise ConfigError(f"vrope needs d/2 divisible by 4, got d={self.d}")
         if self.scheme == "rope2d" and self.pairs % 2 != 0:
@@ -204,6 +201,35 @@ def scheme_position(
     if config.scheme == "rope_share":
         return (p_start + 1 + t,)
     return vrope_position(coord, grid, p_start)
+
+
+def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int) -> np.ndarray:
+    """Array form of :func:`scheme_position` over broadcastable cell coordinates.
+
+    ``w``, ``h`` and ``t`` are integer arrays (or scalars) that must lie
+    inside ``grid``; they are not range-checked here. Returns int64
+    positions of shape ``broadcast(w, h, t).shape + (group_count,)``.
+    """
+    w, h, t = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (w, h, t)))
+    width, height = grid.width, grid.height
+    if config.scheme == "rope1d":
+        dims = (t * grid.tokens_per_frame + h * width + w,)
+    elif config.scheme == "rope2d":
+        dims = (w, h)
+    elif config.scheme in ("rope3d", "rope_compact"):
+        dims = (t, h, w)
+    elif config.scheme == "rope_share":
+        dims = (t + 1,)
+    else:
+        # vrope: symmetric indices, center-aligned, advanced H + W - 1 per frame
+        step = t * (height + width - 1)
+        dims = (
+            w + h + step,
+            w - h + (height - 1) + step,
+            -w - h + (height + width - 2) + step,
+            -w + h + (width - 1) + step,
+        )
+    return np.stack(dims, axis=-1) + p_start
 
 
 def _default_partition(config: SchemeConfig) -> tuple[int, ...]:

@@ -195,6 +195,32 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", ["nan", "inf", "-inf"])
+    def test_non_finite_base_exits_2(self, base, capsys):
+        rc = main(["decay", "--max-delta", "3", f"--base={base}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_non_ascii_layout_digit_exits_2(self, capsys):
+        rc = main(["positions", "--scheme", "rope1d", "--layout", "text:\uff13"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", "--scheme", "vrope", "--video", "\uff12x2x1", "--d", "8"],
+            ["positions", "--scheme", "rope3d", "--layout", "text:1", "--partition", "\u0662:1:1"],
+        ],
+    )
+    def test_non_ascii_flag_digits_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_frame_out_of_range_exits_2(self, capsys):
         rc = main(["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--frame", "5"])
         assert rc == 2

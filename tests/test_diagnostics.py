@@ -254,6 +254,11 @@ class TestMonteCarloHeatmap:
         with pytest.raises(DimensionError):
             TrialConfig(seed=0, trials=1, d=5)
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf"), float("-inf")])
+    def test_trial_config_rejects_non_finite_base(self, base):
+        with pytest.raises(ParameterError):
+            TrialConfig(seed=0, trials=1, d=8, base=base)
+
 
 class TestSoftmaxGrid:
     def test_sums_to_one_and_preserves_order(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ropelab.layout import LAYOUT_CSV_HEADER
 from ropelab import (
     LayoutParseError,
     ParameterError,
@@ -49,7 +50,14 @@ class TestParseLayoutSpec:
         with pytest.raises(LayoutParseError):
             parse_layout_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["", "   ", "vid:2", "text:", "video:2x2", "text:2;video:1x1x1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "", "   ", "vid:2", "text:", "video:2x2", "text:2;video:1x1x1",
+            # non-ASCII digits: fullwidth, Arabic-Indic
+            "text:\uff13", "video:\uff12x2x2", "text:\u0663",
+        ],
+    )
     def test_malformed(self, spec):
         with pytest.raises(LayoutParseError):
             parse_layout_spec(spec)
@@ -252,6 +260,23 @@ class TestLayoutCsv:
     def test_rejects_foreign_header(self):
         with pytest.raises(LayoutParseError):
             parse_layout_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [
+            ("0,text,x,,,,0,,,", "segment_index"),
+            ("0,text,,,,,0,,,", "segment_index"),
+            ("y,text,0,,,,0,,,", "token_index"),
+            ("0,video,0,1,,0,5,,,", "h"),
+            ("0,video,0,1,2,3,5.5,,,", "dim0"),
+            ("0,text,0,,,,,,,", "dim0"),
+            ("0,text,0,,,,0,,2,", "dim1"),
+        ],
+    )
+    def test_bad_cell_reports_row(self, row, column):
+        text = LAYOUT_CSV_HEADER + "\n0,text,0,,,,0,,,\n" + row + "\n"
+        with pytest.raises(LayoutParseError, match=f"row 3: {column}"):
+            parse_layout_csv(text)
 
     def test_uses_lf_only(self):
         layout = build_layout([TextSegment(2)], _config("rope1d"))

@@ -1,0 +1,207 @@
+"""Property tests: the array-backed layout against a per-token reference.
+
+The reference builds every token one at a time from ``scheme_position``,
+``text_position`` and the continuation rules documented on
+``build_layout``, so it shares no array code with the package.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ropelab import (
+    SCHEME_IDS,
+    LayoutToken,
+    SchemeConfig,
+    TextSegment,
+    TokenCoordinate,
+    VideoGrid,
+    VideoSegment,
+    boundary_gaps,
+    boundary_score_table,
+    build_layout,
+    expected_self_score,
+    layout_csv,
+    pair_positions,
+    parse_layout_csv,
+    parse_layout_spec,
+    scheme_position,
+    text_position,
+)
+from ropelab import diagnostics, layout as layout_module
+
+
+def reference_tokens(segments, config):
+    """The layout's tokens, resolved one token at a time."""
+    compact = config.scheme == "rope_compact"
+    tokens = []
+    p = 0
+    cursor = (0, 0, 0)  # rope_compact: next text token's (t, h, w)
+    for index, segment in enumerate(segments):
+        if isinstance(segment, TextSegment):
+            for ordinal in range(segment.count):
+                if compact:
+                    position = tuple(v + ordinal for v in cursor)
+                else:
+                    position = text_position(p + ordinal, config)
+                tokens.append(LayoutToken("text", index, None, ordinal, position))
+            if compact:
+                cursor = tuple(v + segment.count for v in cursor)
+            else:
+                p += segment.count
+            continue
+        grid = segment.grid
+        width, height, frames = grid.width, grid.height, grid.frames
+        if compact:
+            p = max(cursor)
+        for t in range(frames):
+            for h in range(height):
+                for w in range(width):
+                    coord = TokenCoordinate(w, h, t)
+                    position = scheme_position(config, coord, grid, p)
+                    tokens.append(LayoutToken("video", index, coord, None, position))
+        if compact:
+            cursor = (p + frames + 1, p + height + 1, p + width + 1)
+        else:
+            p += {
+                "rope1d": width * height * frames,
+                "rope2d": max(width, height),
+                "rope3d": max(width, height, frames),
+                "rope_share": frames + 1,
+                "vrope": frames * (height + width - 1),
+            }[config.scheme]
+    return tuple(tokens)
+
+
+def _boundaries(tokens, segments):
+    """(video segment, first token index of the following text) per video-to-text boundary."""
+    for index in range(len(segments) - 1):
+        if isinstance(segments[index], VideoSegment) and isinstance(
+            segments[index + 1], TextSegment
+        ):
+            yield index, next(i for i, tok in enumerate(tokens) if tok.segment_index == index + 1)
+
+
+def reference_gaps(tokens, segments):
+    gaps = []
+    for index, query in _boundaries(tokens, segments):
+        video = [tok.position for tok in tokens if tok.segment_index == index]
+        first_text = tokens[query].position
+        gaps.append(
+            tuple(first_text[i] - max(pos[i] for pos in video) for i in range(len(first_text)))
+        )
+    return gaps
+
+
+def reference_scores(tokens, segments, config):
+    """Per-key loop: mean expected self-score from the boundary query to each key set."""
+    found = next(_boundaries(tokens, segments), None)
+    if found is None:
+        return []
+    _, query_index = found
+    schedule = config.schedule()
+    query = pair_positions(tokens[query_index].position, config)
+    rows = []
+    for target in ("video", "text"):
+        scores = [
+            expected_self_score(query - pair_positions(tok.position, config), schedule)
+            for tok in tokens[:query_index]
+            if tok.modality == target
+        ]
+        if scores:
+            rows.append((config.scheme, target, math.fsum(scores) / len(scores)))
+    return rows
+
+
+SEGMENTS = st.lists(
+    st.one_of(
+        st.integers(1, 5).map(TextSegment),
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)).map(
+            lambda size: VideoSegment(VideoGrid(*size))
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+CONFIGS = st.builds(SchemeConfig, st.sampled_from(SCHEME_IDS), d=st.sampled_from((8, 16, 64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS)
+def test_tokens_match_reference(segments, config):
+    layout = build_layout(segments, config)
+    expected = reference_tokens(segments, config)
+    assert len(layout.tokens) == len(expected) == len(layout.positions)
+    assert layout.tokens == expected and expected == layout.tokens
+    assert tuple(layout.tokens) == expected
+    for i in range(-len(expected), len(expected)):
+        assert layout.tokens[i] == expected[i]
+    assert layout.tokens[1::2] == expected[1::2]
+    assert layout.tokens[::-1] == expected[::-1]
+    with pytest.raises(IndexError):
+        layout.tokens[len(expected)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS)
+def test_csv_round_trip(segments, config):
+    layout = build_layout(segments, config)
+    parsed = parse_layout_csv(layout_csv(layout))
+    assert parsed == layout.tokens
+    assert parsed == reference_tokens(segments, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS)
+def test_boundary_gaps_match_reference(segments, config):
+    layout = build_layout(segments, config)
+    expected = reference_gaps(reference_tokens(segments, config), tuple(segments))
+    assert [gap.per_dim for gap in boundary_gaps(layout)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS)
+def test_boundary_score_table_matches_per_key_loop(segments, config):
+    layout = build_layout(segments, config)
+    expected = reference_scores(reference_tokens(segments, config), tuple(segments), config)
+    got = boundary_score_table(layout)
+    assert [(row.scheme_id, row.target) for row in got] == [row[:2] for row in expected]
+    for row, (_, _, mean) in zip(got, expected):
+        assert abs(row.mean_score - mean) <= 1e-12
+
+
+SPEC = "text:5,video:4x3x3,text:2,video:2x2x1,text:1"
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_score_chunk_size_does_not_change_scores(scheme, monkeypatch):
+    layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=16))
+    whole = boundary_score_table(layout)
+    for chunk in (1, 7):
+        monkeypatch.setattr(diagnostics, "BOUNDARY_KEY_CHUNK", chunk)
+        chunked = boundary_score_table(layout)
+        assert [row.target for row in chunked] == [row.target for row in whole]
+        for a, b in zip(chunked, whole):
+            assert abs(a.mean_score - b.mean_score) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_row_chunk_size_does_not_change_csv_or_tokens(scheme, monkeypatch):
+    layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=16))
+    text, tokens = layout_csv(layout), tuple(layout.tokens)
+    monkeypatch.setattr(layout_module, "_CHUNK_ROWS", 5)
+    assert layout_csv(layout) == text
+    assert tuple(layout.tokens) == tokens == reference_tokens(layout.segments, layout.scheme)
+
+
+def test_arrays_are_read_only():
+    layout = build_layout(parse_layout_spec(SPEC), SchemeConfig("vrope", d=8))
+    for array in (
+        layout.positions, layout.segment_index, layout.is_video, layout.coords, layout.ordinal
+    ):
+        assert not array.flags.writeable
+    assert layout.positions.dtype == np.int64 and layout.positions.shape == (48, 4)
+    assert layout.coords[0].tolist() == [-1, -1, -1] and layout.ordinal[5] == -1

@@ -36,7 +36,7 @@ class TestFrequencySchedule:
         with pytest.raises(DimensionError):
             build_frequency_schedule(10000.0, d)
 
-    @pytest.mark.parametrize("base", [0.0, -1.0, -10000.0])
+    @pytest.mark.parametrize("base", [0.0, -1.0, -10000.0, math.nan, math.inf, -math.inf])
     def test_invalid_base(self, base):
         with pytest.raises(ParameterError):
             build_frequency_schedule(base, 8)

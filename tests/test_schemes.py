@@ -201,6 +201,11 @@ class TestSchemeConfig:
         with pytest.raises(ParameterError):
             SchemeConfig("rope1d", d=8, base=0.0)
 
+    @pytest.mark.parametrize("base", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_base_rejected(self, base):
+        with pytest.raises(ParameterError):
+            SchemeConfig("rope1d", d=8, base=base)
+
     def test_partition_sum_must_match(self):
         SchemeConfig("rope3d", d=16, partition=(4, 2, 2))
         with pytest.raises(ConfigError):
