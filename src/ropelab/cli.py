@@ -25,7 +25,7 @@ from .diagnostics import (
 from .errors import RopelabError
 from .layout import TextSegment, VideoSegment, build_layout, layout_csv, parse_layout_spec
 from .rotary import build_frequency_schedule
-from .schemes import SCHEME_IDS, SchemeConfig, VideoGrid
+from .schemes import SCHEME_IDS, SchemeConfig, VideoGrid, text_start_after_video
 from .selfcheck import run_selfcheck
 from .svg import heatmap_svg
 
@@ -55,15 +55,22 @@ def _partition_arg(value: str) -> tuple[int, int, int]:
     return tuple(int(g) for g in m.groups())
 
 
+def _int_arg(value: str) -> int:
+    """A non-negative integer written in ASCII digits (``int()`` also takes others)."""
+    if not re.fullmatch(r"[0-9]+", value.strip()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _positive_arg(value: str) -> int:
-    number = int(value)
+    number = _int_arg(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
     return number
 
 
 def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=64, help="head dimension (even, default 64)")
+    parser.add_argument("--d", type=_int_arg, default=64, help="head dimension (even, default 64)")
     parser.add_argument("--base", type=float, default=10000.0, help="frequency base (default 10000)")
 
 
@@ -95,8 +102,8 @@ def _cmd_positions(args) -> int:
 
 
 def _heatmap_query(config: SchemeConfig, grid: VideoGrid, query_gap: int):
-    layout = build_layout([VideoSegment(grid), TextSegment(query_gap)], config)
-    return layout.tokens[-1].position
+    """Last token of ``video, text:query_gap``, without building that layout."""
+    return tuple(v + query_gap - 1 for v in text_start_after_video(config, grid, 0))
 
 
 def _cmd_heatmap(args) -> int:
@@ -160,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     heat = sub.add_parser("heatmap", help="expected-score heatmap over one frame")
     heat.add_argument("--scheme", choices=SCHEME_IDS, required=True)
     heat.add_argument("--video", type=_video_arg, required=True, help="grid as WxHxT")
-    heat.add_argument("--frame", type=int, default=0, help="frame index (default 0)")
+    heat.add_argument("--frame", type=_int_arg, default=0, help="frame index (default 0)")
     heat.add_argument(
         "--query-gap",
         type=_positive_arg,
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     heat.add_argument("--partition", type=_partition_arg, help="t:h:w pair counts (rope3d)")
     heat.add_argument("--svg", help="also render the grid to this SVG path")
     heat.add_argument("--mc", action="store_true", help="Monte-Carlo estimate instead of closed form")
-    heat.add_argument("--seed", type=int, default=0, help="Monte-Carlo master seed (default 0)")
+    heat.add_argument("--seed", type=_int_arg, default=0, help="Monte-Carlo master seed (default 0)")
     heat.add_argument("--trials", type=_positive_arg, default=10000, help="Monte-Carlo trials")
     heat.add_argument(
         "--softmax", action="store_true", help="softmax over the frame (visualization only)"

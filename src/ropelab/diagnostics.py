@@ -18,7 +18,12 @@ import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
 from .layout import TokenLayout, video_text_boundaries
-from .rotary import FrequencySchedule, check_head_params, expected_self_score
+from .rotary import (
+    FrequencySchedule,
+    check_array_budget,
+    check_head_params,
+    expected_self_score,
+)
 from .schemes import (
     PositionVector,
     SchemeConfig,
@@ -89,6 +94,7 @@ def _frame_pair_positions(
     """Per-pair positions of every cell of one frame, shape (W, H, pairs)."""
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
+    check_array_budget(grid.tokens_per_frame * config.pairs, f"a {grid.width}x{grid.height} frame")
     w = np.arange(grid.width)[:, None]
     h = np.arange(grid.height)[None, :]
     cells = video_positions(config, w, h, frame, grid, 0)
@@ -110,7 +116,7 @@ def heatmap(
     schedule = _resolve_schedule(config, schedule)
     q = pair_positions(query, config)
     cells = _frame_pair_positions(config, grid, frame)
-    values = np.cos((q - cells) * schedule.theta).mean(axis=2)
+    values = expected_self_score(q - cells, schedule)
     return ScoreGrid(values=values, scheme=config, query=tuple(query), frame=frame)
 
 
@@ -165,8 +171,11 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     """Expected self-score at uniform per-pair offsets 0..``max_delta``."""
     if max_delta < 1:
         raise ParameterError(f"max_delta must be >= 1, got {max_delta}")
+    check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")
     deltas = np.arange(max_delta + 1, dtype=np.float64)
-    values = np.cos(np.outer(deltas, schedule.theta)).mean(axis=1)
+    values = expected_self_score(
+        np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
+    )
     return DecayCurve(points=tuple((int(d), float(v)) for d, v in zip(deltas, values)))
 
 
@@ -193,7 +202,7 @@ def boundary_score_table(
     scores = np.empty(query_index, dtype=np.float64)
     for start in range(0, query_index, BOUNDARY_KEY_CHUNK):
         keys = layout.positions[start : min(start + BOUNDARY_KEY_CHUNK, query_index)][:, alloc]
-        scores[start : start + len(keys)] = np.cos((query - keys) * schedule.theta).mean(axis=1)
+        scores[start : start + len(keys)] = expected_self_score(query - keys, schedule)
     is_video = layout.is_video[:query_index]
     rows: list[BoundaryScore] = []
     for target, mask in (("video", is_video), ("text", ~is_video)):
@@ -229,7 +238,6 @@ def boundary_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# re-exported for callers composing their own diagnostics
 __all__ = [
     "ScoreGrid",
     "DecayCurve",
@@ -243,5 +251,4 @@ __all__ = [
     "heatmap_csv",
     "decay_csv",
     "boundary_csv",
-    "expected_self_score",
 ]

@@ -20,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutParseError, ParameterError
+from .rotary import check_array_budget
 from .schemes import (
     PositionVector,
     SchemeConfig,
     TokenCoordinate,
     VideoGrid,
+    text_position,
+    text_start_after_video,
     video_positions,
 )
 
@@ -229,32 +232,13 @@ def format_layout_spec(segments) -> str:
     return ",".join(parts)
 
 
-def _video_continuation(scheme: str, grid: VideoGrid, p_start: int) -> int:
-    width, height, frames = grid.width, grid.height, grid.frames
-    if scheme == "rope1d":
-        return p_start + grid.token_count
-    if scheme == "rope2d":
-        return p_start + max(width, height)
-    if scheme == "rope3d":
-        return p_start + max(width, height, frames)
-    if scheme == "rope_share":
-        return p_start + frames + 1
-    # vrope: one past the shared per-dim maximum, keeping every gap at 1
-    return p_start + frames * (height + width - 1)
-
-
 def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     """Resolve every token's position vector for the given segments and scheme.
 
-    The first segment starts at position 0. After a segment, the next one
-    continues from a scheme-specific start:
-
-    * rope1d advances by the token count (fully sequential);
-    * rope2d by ``max(W, H)``, rope3d by ``max(W, H, T)``, rope_share by
-      ``T + 1``, vrope by ``T * (H + W - 1)`` after a video;
-    * rope_compact continues text after a video anisotropically at
-      ``(p+T+1, p+H+1, p+W+1)`` (dims t/h/w), advancing every dim by one
-      per text token; a later video starts one past the largest dim seen.
+    One vector, the next text token's position, carries the sequence from
+    ``text_position(0)``: a text segment counts up from it in every dim and
+    moves it past its last token; a video starts at its largest dim and
+    moves it to :func:`~ropelab.schemes.text_start_after_video`.
 
     Each segment's rows are filled at once: text from a range, video from
     the grid's cell indices through :func:`~ropelab.schemes.video_positions`.
@@ -264,34 +248,26 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
         raise ParameterError("segment list is empty")
     sizes = [segment.token_count for segment in segments]
     total = sum(sizes)
+    # the widest per-token arrays are positions (G columns) and coords (3)
+    check_array_budget(total * max(scheme.group_count, 3), f"a layout of {total} tokens")
     positions = np.empty((total, scheme.group_count), dtype=np.int64)
     coords = np.full((total, 3), -1, dtype=np.int64)
     ordinal = np.full(total, -1, dtype=np.int64)
-    compact = scheme.scheme == "rope_compact"
-    cursor: PositionVector = (0, 0, 0)  # rope_compact: next text token's dims
-    p = 0
+    start = text_position(0, scheme)
     for segment, rows in zip(segments, _segment_slices(sizes)):
         if isinstance(segment, TextSegment):
             steps = np.arange(segment.count, dtype=np.int64)
             ordinal[rows] = steps
-            if compact:
-                positions[rows] = np.add.outer(steps, cursor)
-                cursor = tuple(v + segment.count for v in cursor)
-            else:
-                positions[rows] = (p + steps)[:, None]
-                p += segment.count
+            positions[rows] = np.add.outer(steps, start)
+            start = tuple(v + segment.count for v in start)
         else:
             grid = segment.grid
-            if compact:
-                p = max(cursor)
+            p = max(start)
             cells = np.indices((grid.frames, grid.height, grid.width), dtype=np.int64)
             t, h, w = cells.reshape(3, -1)
             coords[rows] = np.stack((w, h, t), axis=1)
             positions[rows] = video_positions(scheme, w, h, t, grid, p)
-            if compact:
-                cursor = (p + grid.frames + 1, p + grid.height + 1, p + grid.width + 1)
-            else:
-                p = _video_continuation(scheme.scheme, grid, p)
+            start = text_start_after_video(scheme, grid, p)
     segment_index = np.repeat(np.arange(len(segments), dtype=np.int64), sizes)
     is_video = np.repeat([isinstance(segment, VideoSegment) for segment in segments], sizes)
     layout = TokenLayout(scheme, segments, positions, segment_index, is_video, coords, ordinal)
@@ -379,8 +355,10 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
 
     Raises:
         LayoutParseError: on a foreign header, a wrong column count, an
-            unknown modality, or an empty or non-integer cell where a number
-            belongs. Messages name the 1-based CSV row (the header is row 1).
+            unknown modality, an empty or non-integer cell where a number
+            belongs, a ``token_index`` other than the row's 0-based index,
+            or a text row with a w/h/t cell filled. Messages name the
+            1-based CSV row (the header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -399,7 +377,7 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         token_index, modality, segment_index, w, h, t, *dims = row
         if modality not in ("video", "text"):
             raise LayoutParseError(f"row {row_number}: unknown modality {modality!r}")
-        _csv_int(token_index, "token_index", row_number)
+        index = _csv_int(token_index, "token_index", row_number)
         segment = _csv_int(segment_index, "segment_index", row_number)
         # dims fill dim0.. in order; a scheme's unused trailing dims are empty
         used = dims.index("") if "" in dims else len(dims)
@@ -412,9 +390,19 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
             coord = TokenCoordinate(
                 *(_csv_int(cell, name, row_number) for cell, name in ((w, "w"), (h, "h"), (t, "t")))
             )
-            tokens.append(LayoutToken("video", segment, coord, None, position))
+            token = LayoutToken("video", segment, coord, None, position)
         else:
             ordinal = text_ordinals.get(segment, 0)
             text_ordinals[segment] = ordinal + 1
-            tokens.append(LayoutToken("text", segment, None, ordinal, position))
+            token = LayoutToken("text", segment, None, ordinal, position)
+        # row consistency, checked once every cell has parsed
+        if index != len(tokens):
+            raise LayoutParseError(
+                f"row {row_number}: token_index must be {len(tokens)}, got {index}"
+            )
+        if modality == "text" and (w or h or t):
+            raise LayoutParseError(
+                f"row {row_number}: w/h/t must be empty on a text row, got {','.join((w, h, t))!r}"
+            )
+        tokens.append(token)
     return tuple(tokens)

@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 
+# Most elements one array may hold when user input sets its size: 2**26
+# float64 values are 512 MiB. Larger requests raise ParameterError before
+# anything is allocated, instead of failing (or swapping) inside numpy.
+MAX_ARRAY_ELEMENTS = 2**26
+
 
 @dataclass(frozen=True)
 class FrequencySchedule:
@@ -33,15 +38,25 @@ class FrequencySchedule:
         return self.d // 2
 
 
+def check_array_budget(elements: int, what: str) -> None:
+    """Raise ParameterError if an array of ``elements`` would exceed ``MAX_ARRAY_ELEMENTS``."""
+    if elements > MAX_ARRAY_ELEMENTS:
+        raise ParameterError(
+            f"{what} needs {elements} array elements, over the budget of {MAX_ARRAY_ELEMENTS}"
+        )
+
+
 def check_head_params(d: int, base: float) -> None:
     """Validate a head dimension and frequency base.
 
     Raises:
         DimensionError: if ``d`` is odd or smaller than 2.
-        ParameterError: if ``base`` is not finite or not strictly positive.
+        ParameterError: if ``base`` is not finite or not strictly positive,
+            or ``d/2`` exceeds the array budget.
     """
     if d < 2 or d % 2 != 0:
         raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
+    check_array_budget(d // 2, f"head dimension d={d}")
     if not (math.isfinite(base) and base > 0):
         raise ParameterError(f"base must be finite and > 0, got {base}")
 
@@ -128,16 +143,22 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
     return float(np.sum((qc * np.conj(kc) * phase).real))
 
 
-def expected_self_score(delta, schedule: FrequencySchedule) -> float:
+def expected_self_score(delta, schedule: FrequencySchedule) -> float | np.ndarray:
     """Expected attention score of a vector against itself at position offset ``delta``.
 
     For ``x`` with independent zero-mean unit-variance entries,
     ``E[attention_score(x, x)] / d`` equals ``(2/d) * sum_j cos(delta[j] * theta[j])``,
     which this returns. Normalized so an all-zero ``delta`` gives exactly 1.
+
+    ``delta`` has shape ``(..., d/2)``, one offset per channel pair in the
+    last axis; the result has the leading shape, or is a ``float`` for 1-D.
     """
-    delta = _as_vector(delta, "delta")
-    if delta.size != schedule.pairs:
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.ndim == 0 or delta.shape[-1] != schedule.pairs:
         raise DimensionError(
-            f"expected {schedule.pairs} per-pair deltas, got {delta.size}"
+            f"expected {schedule.pairs} per-pair deltas in the last axis, got shape {delta.shape}"
         )
-    return float(np.mean(np.cos(delta * schedule.theta)))
+    # cosine in place in this function's own product buffer, never in the caller's delta
+    angles = delta * schedule.theta
+    scores = np.cos(angles, out=angles).mean(axis=-1)
+    return float(scores) if delta.ndim == 1 else scores

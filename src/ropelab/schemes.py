@@ -11,6 +11,9 @@ Supported scheme ids:
   frame and advanced by ``H + W - 1`` per frame step, groups interleaved
   ``j mod 4``.
 
+Every scheme rule lives here: group count, ``d/2`` and partition rules,
+channel allocation, video position map and text continuation.
+
 Coordinates are 0-based throughout. Text tokens take the same scalar
 position in every group, so rotating a text token under any scheme matches
 plain 1-D rotary encoding at that position.
@@ -26,23 +29,23 @@ import numpy as np
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
 from .rotary import FrequencySchedule, build_frequency_schedule, check_head_params, rotate
 
-SCHEME_IDS: tuple[str, ...] = (
-    "rope1d",
-    "rope2d",
-    "rope3d",
-    "rope_share",
-    "rope_compact",
-    "vrope",
-)
 
-_GROUP_COUNTS = {
-    "rope1d": 1,
-    "rope_share": 1,
-    "rope2d": 2,
-    "rope3d": 3,
-    "rope_compact": 3,
-    "vrope": 4,
+class _SchemeRule(NamedTuple):
+    groups: int  # channel groups, i.e. dims of a position vector
+    pairs_divisor: int  # d/2 must be a multiple of this
+    takes_partition: bool  # contiguous channel blocks sized by a partition
+
+
+_RULES: dict[str, _SchemeRule] = {
+    "rope1d": _SchemeRule(1, 1, False),
+    "rope2d": _SchemeRule(2, 2, True),
+    "rope3d": _SchemeRule(3, 1, True),
+    "rope_share": _SchemeRule(1, 1, False),
+    "rope_compact": _SchemeRule(3, 1, True),
+    "vrope": _SchemeRule(4, 4, False),
 }
+
+SCHEME_IDS: tuple[str, ...] = tuple(_RULES)
 
 # A position vector: one integer coordinate per channel group.
 PositionVector = tuple[int, ...]
@@ -110,18 +113,18 @@ class SchemeConfig:
         if self.scheme not in SCHEME_IDS:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_IDS}")
         check_head_params(self.d, self.base)
-        if self.scheme == "vrope" and self.pairs % 4 != 0:
-            raise ConfigError(f"vrope needs d/2 divisible by 4, got d={self.d}")
-        if self.scheme == "rope2d" and self.pairs % 2 != 0:
-            raise ConfigError(f"rope2d needs d/2 divisible by 2, got d={self.d}")
+        rule = _RULES[self.scheme]
+        if self.pairs % rule.pairs_divisor != 0:
+            raise ConfigError(
+                f"{self.scheme} needs d/2 divisible by {rule.pairs_divisor}, got d={self.d}"
+            )
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(int(s) for s in self.partition))
-            if self.scheme not in ("rope2d", "rope3d", "rope_compact"):
+            if not rule.takes_partition:
                 raise ConfigError(f"{self.scheme} does not take a partition")
-            expected = _GROUP_COUNTS[self.scheme]
-            if len(self.partition) != expected:
+            if len(self.partition) != rule.groups:
                 raise ConfigError(
-                    f"{self.scheme} partition needs {expected} sizes, got {len(self.partition)}"
+                    f"{self.scheme} partition needs {rule.groups} sizes, got {len(self.partition)}"
                 )
             if any(s < 1 for s in self.partition):
                 raise ConfigError(f"partition sizes must be >= 1, got {self.partition}")
@@ -137,7 +140,7 @@ class SchemeConfig:
 
     @property
     def group_count(self) -> int:
-        return _GROUP_COUNTS[self.scheme]
+        return _RULES[self.scheme].groups
 
     def schedule(self) -> FrequencySchedule:
         return build_frequency_schedule(self.base, self.d)
@@ -232,29 +235,23 @@ def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int
     return np.stack(dims, axis=-1) + p_start
 
 
-def _default_partition(config: SchemeConfig) -> tuple[int, ...]:
-    pairs = config.pairs
-    if config.scheme == "rope2d":
-        return (pairs // 2, pairs // 2)
-    # rope3d / rope_compact: equal thirds, remainder to the leading t group
-    third = pairs // 3
-    return (pairs - 2 * third, third, third)
-
-
 def group_allocation(config: SchemeConfig) -> np.ndarray:
     """Map each channel-pair index ``j`` to the group (dim index) it encodes.
 
-    vrope interleaves groups as ``j mod 4`` so every group spans the whole
-    frequency range; the block schemes assign contiguous runs of pairs.
+    Schemes that take a partition assign contiguous runs of pairs, by
+    default equal runs with the remainder to the leading group. The others
+    interleave ``j mod G``, so each of vrope's groups spans the whole
+    frequency range.
     """
-    pairs = config.pairs
-    if config.scheme == "vrope":
-        alloc = np.arange(pairs, dtype=np.intp) % 4
-    elif config.scheme in ("rope1d", "rope_share"):
-        alloc = np.zeros(pairs, dtype=np.intp)
+    pairs, groups = config.pairs, config.group_count
+    if _RULES[config.scheme].takes_partition:
+        sizes = config.partition
+        if sizes is None:
+            sizes = [pairs // groups] * groups
+            sizes[0] += pairs % groups
+        alloc = np.repeat(np.arange(groups, dtype=np.intp), sizes)
     else:
-        sizes = config.partition if config.partition is not None else _default_partition(config)
-        alloc = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        alloc = np.arange(pairs, dtype=np.intp) % groups
     alloc.setflags(write=False)
     return alloc
 
@@ -262,6 +259,27 @@ def group_allocation(config: SchemeConfig) -> np.ndarray:
 def text_position(m: int, config: SchemeConfig) -> PositionVector:
     """Isotropic position of a text token: every group reads the scalar ``m``."""
     return (m,) * config.group_count
+
+
+def text_start_after_video(config: SchemeConfig, grid: VideoGrid, p_start: int) -> PositionVector:
+    """Position of the first text token after a video whose positions start at ``p_start``.
+
+    rope_compact continues anisotropically at ``(p+T+1, p+H+1, p+W+1)``
+    (dims t/h/w). Every other scheme continues isotropically at
+    ``p_start`` plus a step: rope1d's is the token count (fully
+    sequential), and vrope's puts every dim one past its video maximum.
+    """
+    width, height, frames = grid.width, grid.height, grid.frames
+    if config.scheme == "rope_compact":
+        return (p_start + frames + 1, p_start + height + 1, p_start + width + 1)
+    step = {
+        "rope1d": grid.token_count,
+        "rope2d": max(width, height),
+        "rope3d": max(width, height, frames),
+        "rope_share": frames + 1,
+        "vrope": frames * (height + width - 1),
+    }[config.scheme]
+    return text_position(p_start + step, config)
 
 
 def pair_positions(position, config: SchemeConfig) -> np.ndarray:

@@ -6,14 +6,16 @@ import pytest
 from ropelab import (
     SCHEME_IDS,
     SchemeConfig,
+    TextSegment,
     build_layout,
     heatmap,
     heatmap_svg,
     parse_layout_csv,
     parse_layout_spec,
     VideoGrid,
+    VideoSegment,
 )
-from ropelab.cli import main
+from ropelab.cli import _heatmap_query, main
 
 POSITIONS_GOLDEN = (
     "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim3\n"
@@ -90,6 +92,13 @@ class TestHeatmap:
         expected = heatmap(SchemeConfig("vrope", d=8), VideoGrid(3, 3, 1), 0, (7, 7, 7, 7))
         w, h, value = lines[1].split(",")
         assert value == f"{expected.values[0, 0]:.6f}"
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_query_is_last_token_after_video(self, scheme):
+        config = SchemeConfig(scheme, d=8)
+        grid = VideoGrid(3, 2, 4)
+        layout = build_layout([VideoSegment(grid), TextSegment(5)], config)
+        assert _heatmap_query(config, grid, 5) == layout.tokens[-1].position
 
     def test_svg_written(self, tmp_path, capsys):
         svg_path = tmp_path / "grid.svg"
@@ -213,6 +222,12 @@ class TestExitCodes:
         [
             ["heatmap", "--scheme", "vrope", "--video", "\uff12x2x1", "--d", "8"],
             ["positions", "--scheme", "rope3d", "--layout", "text:1", "--partition", "\u0662:1:1"],
+            ["decay", "--max-delta", "\uff13"],
+            ["decay", "--max-delta", "2", "--d", "\uff16\uff14"],
+            ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--frame", "\uff10"],
+            ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--query-gap", "\u0661"],
+            ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--mc", "--seed", "\uff17"],
+            ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--mc", "--trials", "\uff15"],
         ],
     )
     def test_non_ascii_flag_digits_are_usage_errors(self, argv, capsys):
@@ -220,6 +235,23 @@ class TestExitCodes:
             main(argv)
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    # each would allocate more than 1 TB without the element budget
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["positions", "--scheme", "vrope", "--layout", "video:100000x100000x100000"],
+            ["heatmap", "--scheme", "vrope", "--video", "100000x100000x1"],
+            ["decay", "--max-delta", "2", "--d", "100000000000"],
+            ["decay", "--max-delta", "100000000000"],
+            ["boundary", "--scheme", "rope3d", "--video", "100000x100000x10"],
+        ],
+    )
+    def test_over_element_budget_exits_2(self, argv, capsys):
+        rc = main(argv)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget" in captured.err
 
     def test_frame_out_of_range_exits_2(self, capsys):
         rc = main(["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--frame", "5"])

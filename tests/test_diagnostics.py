@@ -101,6 +101,11 @@ class TestHeatmap:
         with pytest.raises(CoordinateError):
             heatmap(config, VideoGrid(2, 2, 1), 1, (5, 5, 5, 5))
 
+    def test_frame_over_array_budget(self):
+        config = SchemeConfig("vrope", d=8)
+        with pytest.raises(ParameterError, match="budget"):
+            heatmap(config, VideoGrid(10**6, 10**6, 1), 0, (5, 5, 5, 5))
+
     def test_schedule_dimension_checked(self):
         config = SchemeConfig("vrope", d=8)
         with pytest.raises(DimensionError):
@@ -135,6 +140,11 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, 8)
         with pytest.raises(ParameterError):
             decay_curve(schedule, 0)
+
+    def test_max_delta_over_array_budget(self):
+        schedule = build_frequency_schedule(10000.0, 8)
+        with pytest.raises(ParameterError, match="budget"):
+            decay_curve(schedule, 10**12)
 
 
 class TestBoundaryScoreTable:

@@ -271,6 +271,8 @@ class TestLayoutCsv:
             ("0,video,0,1,2,3,5.5,,,", "dim0"),
             ("0,text,0,,,,,,,", "dim0"),
             ("0,text,0,,,,0,,2,", "dim1"),
+            ("7,text,0,,,,0,,,", "token_index must be 1, got 7"),
+            ("1,text,0,1,2,3,0,,,", "w/h/t must be empty on a text row"),
         ],
     )
     def test_bad_cell_reports_row(self, row, column):

@@ -188,6 +188,27 @@ class TestExpectedSelfScore:
         with pytest.raises(DimensionError):
             expected_self_score([1.0, 2.0], schedule)
 
+    def test_batched_matches_per_row_calls(self):
+        schedule = build_frequency_schedule(10000.0, 16)
+        delta = np.random.default_rng(5).uniform(-50, 50, (3, 4, 8))
+        original = delta.copy()
+        batched = expected_self_score(delta, schedule)
+        assert batched.shape == (3, 4)
+        assert np.array_equal(delta, original)
+        for i in range(3):
+            for j in range(4):
+                assert abs(batched[i, j] - expected_self_score(delta[i, j], schedule)) < 1e-15
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5), (4, 4, 1)])
+    def test_batched_trailing_dim_must_be_pairs(self, shape):
+        schedule = build_frequency_schedule(10000.0, 8)
+        with pytest.raises(DimensionError):
+            expected_self_score(np.zeros(shape), schedule)
+
+    def test_one_dim_returns_float(self):
+        schedule = build_frequency_schedule(10000.0, 8)
+        assert type(expected_self_score([1.0, 2.0, 3.0, 4.0], schedule)) is float
+
     def test_matches_monte_carlo_mean(self):
         rng = np.random.default_rng(23)
         d = 16
