@@ -6,8 +6,11 @@ rotated dot product of a random vector with itself across a position
 offset, normalized to 1 at zero offset. A Monte-Carlo variant estimates
 the same quantity through the actual rotation path; trial ``r`` draws from
 a substream derived from ``(seed, r)`` (numpy PCG64 via
-``SeedSequence([seed, r])``), so results are bit-identical regardless of
-evaluation order or parallelism.
+``SeedSequence([seed, r])``), so each trial's vector does not depend on
+evaluation order or parallelism. Trials are summed in fixed-size blocks,
+so the output is fixed for a given version, seed and trial count; a
+version that changes the blocking or the summation order may differ in
+the last bits, which can flip a 6th decimal.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .rotary import (
     check_array_budget,
     check_head_params,
     expected_self_score,
+    rotate,
 )
 from .schemes import (
     PositionVector,
@@ -35,6 +39,8 @@ from .schemes import (
 
 # key rows per block in boundary_score_table
 BOUNDARY_KEY_CHUNK = 8192
+# rotated-key elements per block of Monte-Carlo trials (2 MiB of float64)
+MC_CHUNK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,14 @@ def monte_carlo_heatmap(
     """Monte-Carlo estimate of :func:`heatmap` through the rotation path.
 
     Each trial draws one random vector from its ``(seed, trial)`` substream,
-    rotates it at the query position and at every cell position, and
-    averages the dot products scaled by ``1/d``.
+    rotates it with :func:`rotate` at the query position and at every cell
+    position, and averages the dot products scaled by ``1/d``. Trials run in
+    blocks of ``MC_CHUNK_ELEMENTS // (W*H*d)`` (at least one), so memory
+    stays bounded by the block, not by the trial count.
+
+    Raises:
+        ParameterError: if one trial's rotated keys (``W*H*d`` values)
+            exceed the array budget.
     """
     if trial_config.d != config.d or trial_config.base != config.base:
         raise ConfigError(
@@ -142,20 +154,22 @@ def monte_carlo_heatmap(
     d = config.d
     q_angles = pair_positions(query, config) * schedule.theta
     k_angles = _frame_pair_positions(config, grid, frame) * schedule.theta
-    q_cos, q_sin = np.cos(q_angles), np.sin(q_angles)
-    k_cos, k_sin = np.cos(k_angles), np.sin(k_angles)
+    cells = grid.tokens_per_frame
+    # one trial's rotated keys hold W*H*d values, twice the frame's angle array
+    check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
+    chunk = max(1, MC_CHUNK_ELEMENTS // (cells * d))
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
-    for trial in range(trial_config.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([trial_config.seed, trial]))
-        x = rng.standard_normal(d)
-        even, odd = x[0::2], x[1::2]
-        rq_even = even * q_cos - odd * q_sin
-        rq_odd = even * q_sin + odd * q_cos
-        rk_even = even * k_cos - odd * k_sin
-        rk_odd = even * k_sin + odd * k_cos
-        acc += (rq_even * rk_even + rq_odd * rk_odd).sum(axis=2) / d
+    seed, trials = trial_config.seed, trial_config.trials
+    for start in range(0, trials, chunk):
+        x = np.stack([
+            np.random.default_rng(np.random.SeedSequence([seed, trial])).standard_normal(d)
+            for trial in range(start, min(start + chunk, trials))
+        ])
+        rq = rotate(x, q_angles)
+        rk = rotate(x[:, None, None, :], k_angles)
+        acc += np.einsum("nwhd,nd->wh", rk, rq) / d
     return ScoreGrid(
-        values=acc / trial_config.trials, scheme=config, query=tuple(query), frame=frame
+        values=acc / trials, scheme=config, query=tuple(query), frame=frame
     )
 
 

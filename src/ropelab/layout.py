@@ -357,8 +357,9 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         LayoutParseError: on a foreign header, a wrong column count, an
             unknown modality, an empty or non-integer cell where a number
             belongs, a ``token_index`` other than the row's 0-based index,
-            or a text row with a w/h/t cell filled. Messages name the
-            1-based CSV row (the header is row 1).
+            a text row with a w/h/t cell filled, or a row whose dim count
+            differs from row 2's. Messages name the 1-based CSV row (the
+            header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -403,6 +404,10 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         if modality == "text" and (w or h or t):
             raise LayoutParseError(
                 f"row {row_number}: w/h/t must be empty on a text row, got {','.join((w, h, t))!r}"
+            )
+        if tokens and len(position) != len(tokens[0].position):
+            raise LayoutParseError(
+                f"row {row_number}: has {len(position)} dims, row 2 has {len(tokens[0].position)}"
             )
         tokens.append(token)
     return tuple(tokens)

@@ -1,8 +1,10 @@
 """Rotary math kernel: frequency schedules, pair rotations, attention scores.
 
-Embedding vectors are plain 1-D float arrays of even length ``d``, read as
-``d/2`` adjacent pairs ``(x[2j], x[2j+1])``. Pair ``j`` rotates in its own
-plane by an angle the caller supplies (typically ``position * theta[j]``).
+Embedding vectors are float arrays of even length ``d`` in the last axis,
+read as ``d/2`` adjacent pairs ``(x[2j], x[2j+1])``. Pair ``j`` rotates in
+its own plane by an angle the caller supplies (typically
+``position * theta[j]``). ``rotate`` takes leading batch axes; the scores
+built on it take single 1-D vectors.
 All math is double precision; every function is pure.
 """
 
@@ -87,20 +89,39 @@ def rotate(x, angles) -> np.ndarray:
 
     Pair ``(a, b)`` becomes ``(a cos(phi) - b sin(phi), a sin(phi) + b cos(phi))``.
     Preserves the Euclidean norm of every pair.
+
+    ``x`` has shape ``(..., d)`` and ``angles`` shape ``(..., d/2)``; their
+    leading axes broadcast, so one call rotates a batch of vectors, or one
+    vector at many angle sets. 1-D inputs give a 1-D result.
     """
-    x = _as_vector(x, "x")
-    angles = _as_vector(angles, "angles")
-    if x.size % 2 != 0:
-        raise DimensionError(f"vector length must be even, got {x.size}")
-    if angles.size != x.size // 2:
+    x = np.asarray(x, dtype=np.float64)
+    angles = np.asarray(angles, dtype=np.float64)
+    if x.ndim == 0 or angles.ndim == 0:
         raise DimensionError(
-            f"expected {x.size // 2} angles for a length-{x.size} vector, got {angles.size}"
+            f"x and angles must have at least 1 axis, got shapes {x.shape} and {angles.shape}"
         )
+    d = x.shape[-1]
+    if d % 2 != 0:
+        raise DimensionError(f"vector length must be even, got {d}")
+    if angles.shape[-1] != d // 2:
+        raise DimensionError(
+            f"expected {d // 2} angles for a length-{d} vector, got {angles.shape[-1]}"
+        )
+    try:
+        lead = np.broadcast_shapes(x.shape[:-1], angles.shape[:-1])
+    except ValueError:
+        raise DimensionError(
+            f"leading axes of x {x.shape} and angles {angles.shape} do not broadcast"
+        ) from None
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x[0::2], x[1::2]
-    out = np.empty_like(x)
-    out[0::2] = even * cos - odd * sin
-    out[1::2] = even * sin + odd * cos
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(lead + (d,), dtype=np.float64)
+    # each half is written through out=, so the only temporary is one (..., d/2) product
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    np.multiply(even, cos, out=out_even)
+    out_even -= odd * sin
+    np.multiply(even, sin, out=out_odd)
+    out_odd += odd * cos
     return out
 
 
@@ -110,8 +131,8 @@ def attention_score(q, q_angles, k, k_angles) -> float:
     Depends only on the per-pair angle differences: shifting both angle
     vectors by a common offset leaves the score unchanged.
     """
-    rq = rotate(q, q_angles)
-    rk = rotate(k, k_angles)
+    rq = rotate(_as_vector(q, "q"), _as_vector(q_angles, "q_angles"))
+    rk = rotate(_as_vector(k, "k"), _as_vector(k_angles, "k_angles"))
     if rq.size != rk.size:
         raise DimensionError(f"q and k lengths differ: {rq.size} vs {rk.size}")
     return float(np.dot(rq, rk))

@@ -27,7 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
-from .rotary import FrequencySchedule, build_frequency_schedule, check_head_params, rotate
+from .rotary import (
+    FrequencySchedule,
+    _as_vector,
+    build_frequency_schedule,
+    check_head_params,
+    rotate,
+)
 
 
 class _SchemeRule(NamedTuple):
@@ -296,4 +302,4 @@ def pair_positions(position, config: SchemeConfig) -> np.ndarray:
 def rotate_with_scheme(x, position, config: SchemeConfig) -> np.ndarray:
     """Rotate an embedding vector at a (possibly multi-dim) position under a scheme."""
     schedule = config.schedule()
-    return rotate(x, pair_positions(position, config) * schedule.theta)
+    return rotate(_as_vector(x, "x"), pair_positions(position, config) * schedule.theta)

@@ -1,11 +1,14 @@
 """Independent reference implementations used to derive and check expected values.
 
 Everything here is written directly from the defining formulas in plain
-Python/cmath, deliberately not sharing code with the package, so tests can
+Python/cmath (numpy only where a reference must draw the package's random
+substreams), deliberately not sharing code with the package, so tests can
 cross-check the two paths against each other.
 """
 
 import cmath
+
+import numpy as np
 
 
 def theta_ref(j: int, d: int, base: float) -> float:
@@ -66,3 +69,24 @@ def vrope_position_ref(w, h, t, width, height, p_start):
     )
     step = t * (height + width - 1)
     return tuple(vi + step for vi in v)
+
+
+def monte_carlo_heatmap_ref(q_angles, k_angles, seed, trials, d):
+    """Monte-Carlo heatmap one trial at a time, the pair rotation written out.
+
+    Trial ``r`` draws ``x`` from ``SeedSequence([seed, r])``, rotates it by
+    ``q_angles`` (d/2,) and by every cell's ``k_angles`` (W, H, d/2), and adds
+    the dot products over ``d``; the result is the mean over trials.
+    """
+    q_cos, q_sin = np.cos(q_angles), np.sin(q_angles)
+    k_cos, k_sin = np.cos(k_angles), np.sin(k_angles)
+    acc = np.zeros(k_angles.shape[:2])
+    for trial in range(trials):
+        x = np.random.default_rng(np.random.SeedSequence([seed, trial])).standard_normal(d)
+        even, odd = x[0::2], x[1::2]
+        rq_even = even * q_cos - odd * q_sin
+        rq_odd = even * q_sin + odd * q_cos
+        rk_even = even * k_cos - odd * k_sin
+        rk_odd = even * k_sin + odd * k_cos
+        acc += (rq_even * rk_even + rq_odd * rk_odd).sum(axis=2) / d
+    return acc / trials

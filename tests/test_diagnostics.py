@@ -17,6 +17,7 @@ from ropelab import (
     SCHEME_IDS,
     SchemeConfig,
     TextSegment,
+    TokenCoordinate,
     TrialConfig,
     VideoGrid,
     VideoSegment,
@@ -31,10 +32,17 @@ from ropelab import (
     heatmap_csv,
     monte_carlo_heatmap,
     pair_positions,
+    scheme_position,
     softmax_grid,
 )
+from ropelab import diagnostics, rotary
 
-from oracles import expected_score_ref, vrope_alloc_ref, vrope_position_ref
+from oracles import (
+    expected_score_ref,
+    monte_carlo_heatmap_ref,
+    vrope_alloc_ref,
+    vrope_position_ref,
+)
 
 # vrope heatmap, W=H=3, T=1, d=8, base=10000, query=(5,5,5,5); values[w][h]
 VROPE_3X3 = [
@@ -268,6 +276,50 @@ class TestMonteCarloHeatmap:
     def test_trial_config_rejects_non_finite_base(self, base):
         with pytest.raises(ParameterError):
             TrialConfig(seed=0, trials=1, d=8, base=base)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_matches_per_trial_reference(self, scheme, offset):
+        # 8x8 frame, d=64: one block holds MC_CHUNK_ELEMENTS // 4096 trials
+        config = SchemeConfig(scheme, d=64)
+        video = VideoGrid(8, 8, 2)
+        chunk = diagnostics.MC_CHUNK_ELEMENTS // (video.tokens_per_frame * 64)
+        trials = 1 if offset is None else chunk + offset
+        query = build_layout([VideoSegment(video), TextSegment(1)], config).tokens[-1].position
+        got = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=3, trials=trials))
+        schedule = config.schedule()
+        k_angles = np.array([
+            [pair_positions(scheme_position(config, TokenCoordinate(w, h, 1), video, 0), config)
+             for h in range(8)]
+            for w in range(8)
+        ]) * schedule.theta
+        q_angles = pair_positions(query, config) * schedule.theta
+        expected = monte_carlo_heatmap_ref(q_angles, k_angles, 3, trials, 64)
+        assert np.max(np.abs(got.values - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_mc_chunk_size_does_not_change_values(self, scheme, monkeypatch):
+        config = SchemeConfig(scheme, d=16)
+        video = VideoGrid(3, 2, 2)
+        trial_config = TrialConfig(seed=11, trials=50, d=16)
+        whole = monte_carlo_heatmap(config, video, 1, (9,) * config.group_count, trial_config)
+        for elements in (1, 7 * 6 * 16):
+            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
+            chunked = monte_carlo_heatmap(
+                config, video, 1, (9,) * config.group_count, trial_config
+            )
+            assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
+
+    def test_key_batch_over_array_budget(self, monkeypatch):
+        # the 4x4 frame's angles (4*4*4 = 64 values) fit; one trial's keys (4*4*8 = 128) do not
+        monkeypatch.setattr(rotary, "MAX_ARRAY_ELEMENTS", 100)
+        config = SchemeConfig("vrope", d=8)
+        video = VideoGrid(4, 4, 1)
+        heatmap(config, video, 0, (5, 5, 5, 5))
+        with pytest.raises(ParameterError, match="budget"):
+            monte_carlo_heatmap(
+                config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1, d=8)
+            )
 
 
 class TestSoftmaxGrid:

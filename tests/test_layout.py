@@ -273,6 +273,7 @@ class TestLayoutCsv:
             ("0,text,0,,,,0,,2,", "dim1"),
             ("7,text,0,,,,0,,,", "token_index must be 1, got 7"),
             ("1,text,0,1,2,3,0,,,", "w/h/t must be empty on a text row"),
+            ("1,video,1,0,0,0,0,0,0,", "has 3 dims, row 2 has 1"),
         ],
     )
     def test_bad_cell_reports_row(self, row, column):

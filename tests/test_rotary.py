@@ -91,6 +91,52 @@ class TestRotate:
             angles = rng.uniform(-20, 20, 8)
             assert np.allclose(rotate(x, angles), rotate_ref(x, angles), atol=1e-12)
 
+    def test_one_dim_matches_pair_formula_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            x = rng.standard_normal(16)
+            angles = rng.uniform(-20, 20, 8)
+            cos, sin = np.cos(angles), np.sin(angles)
+            expected = np.empty(16)
+            expected[0::2] = x[0::2] * cos - x[1::2] * sin
+            expected[1::2] = x[0::2] * sin + x[1::2] * cos
+            assert np.array_equal(rotate(x, angles), expected)
+
+    def test_batched_equals_per_row_calls(self):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((3, 5, 16))
+        angles = rng.uniform(-20, 20, (3, 5, 8))
+        out = rotate(x, angles)
+        assert out.shape == (3, 5, 16)
+        for i in range(3):
+            for j in range(5):
+                assert np.array_equal(out[i, j], rotate(x[i, j], angles[i, j]))
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((4, 1, 8))
+        angles = rng.uniform(-20, 20, (6, 4))
+        out = rotate(x, angles)
+        assert out.shape == (4, 6, 8)
+        for n in range(4):
+            for c in range(6):
+                assert np.array_equal(out[n, c], rotate(x[n, 0], angles[c]))
+
+    @pytest.mark.parametrize(
+        "x_shape,angles_shape",
+        [((3, 8), (3, 3)), ((2, 3, 8), (4, 4)), ((), (1,)), ((2,), ()), ((3, 8), (2, 4)), ((3, 7), (3, 3))],
+    )
+    def test_batched_shape_errors(self, x_shape, angles_shape):
+        with pytest.raises(DimensionError):
+            rotate(np.ones(x_shape), np.zeros(angles_shape))
+
+    def test_input_left_unchanged(self):
+        x = np.arange(8.0).reshape(2, 4)
+        angles = np.ones((2, 2))
+        rotate(x, angles)
+        assert x.tolist() == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]
+        assert angles.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
 
 class TestAttentionScore:
     def test_d2_relative_distance(self):
@@ -115,6 +161,14 @@ class TestAttentionScore:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             attention_score([1.0, 0.0], [0.5], [1.0, 0.0, 0.0, 0.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("batched", [0, 1, 2, 3])
+    def test_batched_inputs_rejected(self, batched):
+        # a (1, ...) batch would otherwise rotate and score without complaint
+        args = [[1.0, 0.0], [0.5], [1.0, 0.0], [0.5]]
+        args[batched] = [args[batched]]
+        with pytest.raises(DimensionError):
+            attention_score(*args)
 
 
 class TestOracle:

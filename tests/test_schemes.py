@@ -267,6 +267,11 @@ class TestTextPosition:
             got = rotate_with_scheme(x, text_position(m, config), config)
             assert np.max(np.abs(got - expected)) < 1e-9
 
+    def test_rotate_with_scheme_takes_one_vector(self):
+        config = SchemeConfig("vrope", d=8)
+        with pytest.raises(DimensionError):
+            rotate_with_scheme(np.ones((2, 8)), (1, 2, 3, 4), config)
+
     def test_pair_positions_shape_validation(self):
         config = SchemeConfig("vrope", d=8)
         with pytest.raises(DimensionError):
