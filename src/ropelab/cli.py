@@ -62,6 +62,17 @@ def _int_arg(value: str) -> int:
     return int(value)
 
 
+# a decimal float in ASCII digits; the words inf/nan parse so the base check rejects them
+_FLOAT_RE = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?|inf(inity)?|nan)", re.I)
+
+
+def _float_arg(value: str) -> float:
+    """A float written in ASCII (``float()`` also takes other digits and ``_``)."""
+    if not _FLOAT_RE.fullmatch(value.strip()):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {value!r}")
+    return float(value)
+
+
 def _positive_arg(value: str) -> int:
     number = _int_arg(value)
     if number < 1:
@@ -71,7 +82,9 @@ def _positive_arg(value: str) -> int:
 
 def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=_int_arg, default=64, help="head dimension (even, default 64)")
-    parser.add_argument("--base", type=float, default=10000.0, help="frequency base (default 10000)")
+    parser.add_argument(
+        "--base", type=_float_arg, default=10000.0, help="frequency base (default 10000)"
+    )
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:

@@ -28,7 +28,7 @@ from .schemes import (
     VideoGrid,
     text_position,
     text_start_after_video,
-    video_positions,
+    video_map,
 )
 
 # rows per block when converting layout arrays to Python objects or CSV text
@@ -240,8 +240,8 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     moves it past its last token; a video starts at its largest dim and
     moves it to :func:`~ropelab.schemes.text_start_after_video`.
 
-    Each segment's rows are filled at once: text from a range, video from
-    the grid's cell indices through :func:`~ropelab.schemes.video_positions`.
+    Each segment's rows are filled at once: text from a range, video as the
+    grid's cell indices times the scheme's :func:`~ropelab.schemes.video_map`.
     """
     segments = tuple(segments)
     if not segments:
@@ -266,7 +266,8 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
             cells = np.indices((grid.frames, grid.height, grid.width), dtype=np.int64)
             t, h, w = cells.reshape(3, -1)
             coords[rows] = np.stack((w, h, t), axis=1)
-            positions[rows] = video_positions(scheme, w, h, t, grid, p)
+            matrix, offsets, _ = video_map(scheme, grid, p)
+            positions[rows] = coords[rows] @ matrix + offsets
             start = text_start_after_video(scheme, grid, p)
     segment_index = np.repeat(np.arange(len(segments), dtype=np.int64), sizes)
     is_video = np.repeat([isinstance(segment, VideoSegment) for segment in segments], sizes)

@@ -1,26 +1,25 @@
 """Per-token position vectors and channel-group allocation for six schemes.
 
-Supported scheme ids:
+Every scheme rule lives in ``_RULES``: group count, ``d/2`` and partition
+rules, channel allocation, and the video position map, affine in the cell
+``(w, h, t)``, from which the text continuation after a video follows.
 
-* ``rope1d``       -- raster-flattened scalar positions, one channel group.
-* ``rope2d``       -- spatial (w, h) positions, two groups, frames repeat.
-* ``rope3d``       -- (t, h, w) positions over three contiguous groups.
-* ``rope_share``   -- one shared scalar id per frame.
+* ``rope1d``       -- raster index ``w + W*h + W*H*t``, one channel group.
+* ``rope2d``       -- spatial ``(w, h)``, two groups, frames repeat.
+* ``rope3d``       -- ``(t, h, w)`` over three contiguous groups.
+* ``rope_share``   -- ``t + 1``, one shared scalar id per frame.
 * ``rope_compact`` -- rope3d for video, anisotropic text continuation.
 * ``vrope``        -- four symmetric diagonal indices, center-aligned per
-  frame and advanced by ``H + W - 1`` per frame step, groups interleaved
-  ``j mod 4``.
+  frame and advanced by ``H + W - 1`` per frame, groups interleaved ``j mod 4``.
 
-Every scheme rule lives here: group count, ``d/2`` and partition rules,
-channel allocation, video position map and text continuation.
-
-Coordinates are 0-based throughout. Text tokens take the same scalar
-position in every group, so rotating a text token under any scheme matches
-plain 1-D rotary encoding at that position.
+Coordinates are 0-based. Text tokens take the same scalar position in every
+group (rope_compact's text after a video aside), so rotating a text token
+matches plain 1-D rotary encoding at that position.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,23 +34,6 @@ from .rotary import (
     rotate,
 )
 
-
-class _SchemeRule(NamedTuple):
-    groups: int  # channel groups, i.e. dims of a position vector
-    pairs_divisor: int  # d/2 must be a multiple of this
-    takes_partition: bool  # contiguous channel blocks sized by a partition
-
-
-_RULES: dict[str, _SchemeRule] = {
-    "rope1d": _SchemeRule(1, 1, False),
-    "rope2d": _SchemeRule(2, 2, True),
-    "rope3d": _SchemeRule(3, 1, True),
-    "rope_share": _SchemeRule(1, 1, False),
-    "rope_compact": _SchemeRule(3, 1, True),
-    "vrope": _SchemeRule(4, 4, False),
-}
-
-SCHEME_IDS: tuple[str, ...] = tuple(_RULES)
 
 # A position vector: one integer coordinate per channel group.
 PositionVector = tuple[int, ...]
@@ -77,6 +59,37 @@ class VideoGrid:
     @property
     def token_count(self) -> int:
         return self.width * self.height * self.frames
+
+
+class _SchemeRule(NamedTuple):
+    groups: int  # channel groups, i.e. dims of a position vector
+    pairs_divisor: int  # d/2 must be a multiple of this
+    takes_partition: bool  # contiguous channel blocks sized by a partition
+    # video map: dim i of cell (w, h, t) is rows(grid)[i] . (w, h, t) + offsets(grid)[i] + p_start
+    rows: Callable[[VideoGrid], tuple[tuple[int, int, int], ...]]
+    offsets: Callable[[VideoGrid], tuple[int, ...]]
+    per_dim_continuation: bool = False  # text resumes at each dim's max + 2, not past the largest
+
+
+_THW = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # dims t, h, w
+_DIAGONALS = ((1, 1), (1, -1), (-1, -1), (-1, 1))  # vrope: w+h, w-h, -w-h, -w+h
+
+_RULES: dict[str, _SchemeRule] = {
+    "rope1d": _SchemeRule(1, 1, False, lambda g: ((1, g.width, g.tokens_per_frame),), lambda g: (0,)),
+    "rope2d": _SchemeRule(2, 2, True, lambda g: ((1, 0, 0), (0, 1, 0)), lambda g: (0, 0)),
+    "rope3d": _SchemeRule(3, 1, True, lambda g: _THW, lambda g: (0, 0, 0)),
+    "rope_share": _SchemeRule(1, 1, False, lambda g: ((0, 0, 1),), lambda g: (1,)),
+    "rope_compact": _SchemeRule(3, 1, True, lambda g: _THW, lambda g: (0, 0, 0), True),
+    "vrope": _SchemeRule(
+        4, 4, False,
+        lambda g: tuple((a, b, g.height + g.width - 1) for a, b in _DIAGONALS),
+        lambda g: (0, g.height - 1, g.height + g.width - 2, g.width - 1),
+    ),
+}
+
+SCHEME_IDS: tuple[str, ...] = tuple(_RULES)
+
+MAX_POSITION = 2**53  # pair_positions casts to float64, exact for integers up to here
 
 
 @dataclass(frozen=True)
@@ -195,21 +208,32 @@ def vrope_position(coord: TokenCoordinate, grid: VideoGrid, p_start: int) -> Pos
     return temporal_offset(center_align(symmetric_indices(coord), grid, p_start), coord.t, grid)
 
 
+def video_map(
+    config: SchemeConfig, grid: VideoGrid, p_start: int
+) -> tuple[np.ndarray, np.ndarray, PositionVector]:
+    """The scheme's video positions over ``grid`` as one affine map.
+
+    Returns int64 ``matrix`` (3, G) and ``offsets`` (G,), ``p_start`` included, so
+    cells ``(..., 3)`` of ``(w, h, t)`` map to ``cells @ matrix + offsets``; and each
+    dim's largest value, as Python ints. Raises ParameterError past ``MAX_POSITION``.
+    """
+    rule = _RULES[config.scheme]
+    rows, sizes = rule.rows(grid), (grid.width, grid.height, grid.frames)
+    offsets = [p_start + offset for offset in rule.offsets(grid)]
+    maxima = tuple(
+        o + sum(max(c, 0) * (n - 1) for c, n in zip(row, sizes)) for row, o in zip(rows, offsets)
+    )
+    if max(maxima) > MAX_POSITION:
+        raise ParameterError(f"{config.scheme} positions reach {max(maxima)}, over the budget 2**53")
+    return np.array(rows, dtype=np.int64).T, np.array(offsets, dtype=np.int64), maxima
+
+
 def scheme_position(
     config: SchemeConfig, coord: TokenCoordinate, grid: VideoGrid, p_start: int
 ) -> PositionVector:
     """Position vector of a video token under the configured scheme."""
     _check_coordinate(coord, grid)
-    w, h, t = coord.w, coord.h, coord.t
-    if config.scheme == "rope1d":
-        return (p_start + t * grid.tokens_per_frame + h * grid.width + w,)
-    if config.scheme == "rope2d":
-        return (p_start + w, p_start + h)
-    if config.scheme in ("rope3d", "rope_compact"):
-        return (p_start + t, p_start + h, p_start + w)
-    if config.scheme == "rope_share":
-        return (p_start + 1 + t,)
-    return vrope_position(coord, grid, p_start)
+    return tuple(video_positions(config, coord.w, coord.h, coord.t, grid, p_start).tolist())
 
 
 def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int) -> np.ndarray:
@@ -219,26 +243,8 @@ def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int
     inside ``grid``; they are not range-checked here. Returns int64
     positions of shape ``broadcast(w, h, t).shape + (group_count,)``.
     """
-    w, h, t = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (w, h, t)))
-    width, height = grid.width, grid.height
-    if config.scheme == "rope1d":
-        dims = (t * grid.tokens_per_frame + h * width + w,)
-    elif config.scheme == "rope2d":
-        dims = (w, h)
-    elif config.scheme in ("rope3d", "rope_compact"):
-        dims = (t, h, w)
-    elif config.scheme == "rope_share":
-        dims = (t + 1,)
-    else:
-        # vrope: symmetric indices, center-aligned, advanced H + W - 1 per frame
-        step = t * (height + width - 1)
-        dims = (
-            w + h + step,
-            w - h + (height - 1) + step,
-            -w - h + (height + width - 2) + step,
-            -w + h + (width - 1) + step,
-        )
-    return np.stack(dims, axis=-1) + p_start
+    matrix, offsets, _ = video_map(config, grid, p_start)
+    return np.stack(np.broadcast_arrays(w, h, t), axis=-1, dtype=np.int64) @ matrix + offsets
 
 
 def group_allocation(config: SchemeConfig) -> np.ndarray:
@@ -270,22 +276,14 @@ def text_position(m: int, config: SchemeConfig) -> PositionVector:
 def text_start_after_video(config: SchemeConfig, grid: VideoGrid, p_start: int) -> PositionVector:
     """Position of the first text token after a video whose positions start at ``p_start``.
 
-    rope_compact continues anisotropically at ``(p+T+1, p+H+1, p+W+1)``
-    (dims t/h/w). Every other scheme continues isotropically at
-    ``p_start`` plus a step: rope1d's is the token count (fully
-    sequential), and vrope's puts every dim one past its video maximum.
+    rope_compact continues at each dim's video maximum plus 2, i.e.
+    ``(p+T+1, p+H+1, p+W+1)`` (dims t/h/w). Every other scheme continues
+    isotropically, one past the video's largest position in any dim.
     """
-    width, height, frames = grid.width, grid.height, grid.frames
-    if config.scheme == "rope_compact":
-        return (p_start + frames + 1, p_start + height + 1, p_start + width + 1)
-    step = {
-        "rope1d": grid.token_count,
-        "rope2d": max(width, height),
-        "rope3d": max(width, height, frames),
-        "rope_share": frames + 1,
-        "vrope": frames * (height + width - 1),
-    }[config.scheme]
-    return text_position(p_start + step, config)
+    maxima = video_map(config, grid, p_start)[2]
+    if _RULES[config.scheme].per_dim_continuation:
+        return tuple(m + 2 for m in maxima)
+    return text_position(max(maxima) + 1, config)
 
 
 def pair_positions(position, config: SchemeConfig) -> np.ndarray:

@@ -71,6 +71,21 @@ def vrope_position_ref(w, h, t, width, height, p_start):
     return tuple(vi + step for vi in v)
 
 
+def scheme_position_ref(scheme, w, h, t, width, height, p_start):
+    """Position vector of video cell ``(w, h, t)``, one formula per scheme."""
+    if scheme == "rope1d":
+        return (p_start + t * width * height + h * width + w,)
+    if scheme == "rope2d":
+        return (p_start + w, p_start + h)
+    if scheme in ("rope3d", "rope_compact"):
+        return (p_start + t, p_start + h, p_start + w)
+    if scheme == "rope_share":
+        return (p_start + 1 + t,)
+    if scheme == "vrope":
+        return vrope_position_ref(w, h, t, width, height, p_start)
+    raise ValueError(f"no reference for scheme {scheme!r}")
+
+
 def monte_carlo_heatmap_ref(q_angles, k_angles, seed, trials, d):
     """Monte-Carlo heatmap one trial at a time, the pair rotation written out.
 

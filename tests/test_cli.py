@@ -73,6 +73,12 @@ class TestDecay:
         assert rc == 0
         assert out.read_bytes() == DECAY_GOLDEN.encode("utf-8")
 
+    @pytest.mark.parametrize("base", ["1e4", "10000.0", "+1E4", ".1e5", " 10000 "])
+    def test_base_decimal_forms(self, base, capsys):
+        rc = main(["decay", "--d", "2", "--base", base, "--max-delta", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out == DECAY_GOLDEN
+
 
 class TestHeatmap:
     def test_matches_library_values(self, capsys):
@@ -99,6 +105,14 @@ class TestHeatmap:
         grid = VideoGrid(3, 2, 4)
         layout = build_layout([VideoSegment(grid), TextSegment(5)], config)
         assert _heatmap_query(config, grid, 5) == layout.tokens[-1].position
+
+    def test_last_frame_of_long_video_scores_true_delta(self, capsys):
+        # query at 64e6, cell (0, 0) of the last frame at 64e6 - 64
+        argv = ["heatmap", "--scheme", "rope1d", "--video", "8x8x1000000", "--d", "8"]
+        assert main(argv + ["--frame", "999999"]) == 0
+        cell = capsys.readouterr().out.splitlines()[1]
+        main(["decay", "--d", "8", "--max-delta", "64"])
+        assert cell == "0,0," + capsys.readouterr().out.splitlines()[-1].split(",")[1]
 
     def test_svg_written(self, tmp_path, capsys):
         svg_path = tmp_path / "grid.svg"
@@ -228,6 +242,8 @@ class TestExitCodes:
             ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--query-gap", "\u0661"],
             ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--mc", "--seed", "\uff17"],
             ["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--mc", "--trials", "\uff15"],
+            ["decay", "--max-delta", "2", "--base", "\uff11\uff10"],
+            ["decay", "--max-delta", "2", "--base", " 1_0 "],
         ],
     )
     def test_non_ascii_flag_digits_are_usage_errors(self, argv, capsys):
@@ -245,6 +261,10 @@ class TestExitCodes:
             ["decay", "--max-delta", "2", "--d", "100000000000"],
             ["decay", "--max-delta", "100000000000"],
             ["boundary", "--scheme", "rope3d", "--video", "100000x100000x10"],
+            # positions past 2**53, where int64 wraps and float64 is no longer exact
+            ["heatmap", "--scheme", "rope1d", "--video", "8x8x1000000000000000000",
+             "--frame", "999999999999999999", "--d", "8"],
+            ["heatmap", "--scheme", "rope1d", "--video", "4000000000x4000000000x2"],
         ],
     )
     def test_over_element_budget_exits_2(self, argv, capsys):

@@ -1,8 +1,9 @@
 """Property tests: the array-backed layout against a per-token reference.
 
-The reference builds every token one at a time from ``scheme_position``,
-``text_position`` and the continuation rules documented on
-``build_layout``, so it shares no array code with the package.
+The reference builds every token one at a time from
+``oracles.scheme_position_ref``, ``text_position`` and the continuation
+rules documented on ``build_layout``, so it shares neither the package's
+array code nor its position map.
 """
 
 import math
@@ -28,10 +29,11 @@ from ropelab import (
     pair_positions,
     parse_layout_csv,
     parse_layout_spec,
-    scheme_position,
     text_position,
 )
 from ropelab import diagnostics, layout as layout_module
+
+from oracles import scheme_position_ref
 
 
 def reference_tokens(segments, config):
@@ -61,7 +63,7 @@ def reference_tokens(segments, config):
             for h in range(height):
                 for w in range(width):
                     coord = TokenCoordinate(w, h, t)
-                    position = scheme_position(config, coord, grid, p)
+                    position = scheme_position_ref(config.scheme, w, h, t, width, height, p)
                     tokens.append(LayoutToken("video", index, coord, None, position))
         if compact:
             cursor = (p + frames + 1, p + height + 1, p + width + 1)

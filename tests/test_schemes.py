@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ropelab import (
+    SCHEME_IDS,
     ConfigError,
     CoordinateError,
     DimensionError,
@@ -24,7 +25,9 @@ from ropelab import (
     vrope_position,
 )
 
-from oracles import vrope_position_ref
+from ropelab.schemes import MAX_POSITION, text_start_after_video, video_map, video_positions
+
+from oracles import scheme_position_ref, vrope_position_ref
 
 
 class TestSymmetricIndices:
@@ -176,6 +179,75 @@ class TestSchemePosition:
             config = SchemeConfig(scheme, d=8)
             with pytest.raises(CoordinateError):
                 scheme_position(config, TokenCoordinate(0, 2, 0), grid, 0)
+
+
+GRIDS = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5)).map(
+    lambda size: VideoGrid(*size)
+)
+
+
+class TestVideoMap:
+    """The affine map against one independent formula per scheme."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scheme=st.sampled_from(SCHEME_IDS), grid=GRIDS, p_start=st.integers(0, 50))
+    @example(scheme="vrope", grid=VideoGrid(1, 1, 1), p_start=0)
+    @example(scheme="rope1d", grid=VideoGrid(6, 2, 5), p_start=50)
+    @example(scheme="rope_compact", grid=VideoGrid(1, 6, 3), p_start=7)
+    def test_matches_reference(self, scheme, grid, p_start):
+        config = SchemeConfig(scheme, d=8)
+        width, height, frames = grid.width, grid.height, grid.frames
+        t, h, w = np.indices((frames, height, width))
+        cells = video_positions(config, w, h, t, grid, p_start)
+        assert cells.dtype == np.int64
+        assert cells.shape == (frames, height, width, config.group_count)
+        for tt in range(frames):
+            # the broadcast call the heatmap makes: (W, 1) columns, (1, H) rows, one frame
+            frame = video_positions(
+                config, np.arange(width)[:, None], np.arange(height)[None, :], tt, grid, p_start
+            )
+            assert frame.shape == (width, height, config.group_count)
+            for hh in range(height):
+                for ww in range(width):
+                    expected = scheme_position_ref(scheme, ww, hh, tt, width, height, p_start)
+                    coord = TokenCoordinate(ww, hh, tt)
+                    assert tuple(cells[tt, hh, ww].tolist()) == expected
+                    assert tuple(frame[ww, hh].tolist()) == expected
+                    assert scheme_position(config, coord, grid, p_start) == expected
+                    if scheme == "vrope":
+                        assert vrope_position(coord, grid, p_start) == expected
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_continuation_follows_the_maxima(self, scheme):
+        config = SchemeConfig(scheme, d=8)
+        grid, p_start = VideoGrid(4, 3, 5), 9
+        t, h, w = np.indices((5, 3, 4))
+        maxima = video_positions(config, w, h, t, grid, p_start).reshape(-1, config.group_count)
+        maxima = maxima.max(axis=0).tolist()
+        assert video_map(config, grid, p_start)[2] == tuple(maxima)
+        if scheme == "rope_compact":
+            expected = tuple(m + 2 for m in maxima)
+        else:
+            expected = text_position(max(maxima) + 1, config)
+        assert text_start_after_video(config, grid, p_start) == expected
+
+    def test_largest_position_may_reach_the_bound(self):
+        config = SchemeConfig("rope_share", d=8)
+        grid = VideoGrid(1, 1, MAX_POSITION)  # positions 1 .. 2**53
+        assert video_positions(config, 0, 0, MAX_POSITION - 1, grid, 0).tolist() == [MAX_POSITION]
+        with pytest.raises(ParameterError, match="budget"):
+            video_positions(config, 0, 0, 0, grid, 1)
+        with pytest.raises(ParameterError, match="budget"):
+            text_start_after_video(config, grid, 1)
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_oversized_grid_raises_instead_of_wrapping(self, scheme):
+        config = SchemeConfig(scheme, d=8)
+        grid = VideoGrid(2**60, 2**60, 2**62)
+        with pytest.raises(ParameterError, match="budget"):
+            video_positions(config, 0, 0, 0, grid, 0)
+        with pytest.raises(ParameterError, match="budget"):
+            scheme_position(config, TokenCoordinate(0, 0, 0), grid, 0)
 
 
 class TestSchemeConfig:
