@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
-from .layout import TokenLayout, video_text_boundaries
+from .layout import TextSegment, TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
     check_array_budget,
@@ -34,11 +34,12 @@ from .schemes import (
     VideoGrid,
     group_allocation,
     pair_positions,
+    video_map,
     video_positions,
 )
 
-# key rows per block in boundary_score_table
-BOUNDARY_KEY_CHUNK = 8192
+# delta rows per block in decay_curve
+DECAY_CHUNK_ROWS = 8192
 # rotated-key elements per block of Monte-Carlo trials (2 MiB of float64)
 MC_CHUNK_ELEMENTS = 2**18
 
@@ -136,10 +137,10 @@ def monte_carlo_heatmap(
     """Monte-Carlo estimate of :func:`heatmap` through the rotation path.
 
     Each trial draws one random vector from its ``(seed, trial)`` substream,
-    rotates it with :func:`rotate` at the query position and at every cell
-    position, and averages the dot products scaled by ``1/d``. Trials run in
-    blocks of ``MC_CHUNK_ELEMENTS // (W*H*d)`` (at least one), so memory
-    stays bounded by the block, not by the trial count.
+    rotates it with :func:`rotate` at the query's and every cell's offset
+    from the frame's cell ``(0, 0)``, and averages the dot products scaled
+    by ``1/d``. Trials run in blocks of ``MC_CHUNK_ELEMENTS // (W*H*d)`` (at
+    least one), so memory stays bounded by the block, not by the trial count.
 
     Raises:
         ParameterError: if one trial's rotated keys (``W*H*d`` values)
@@ -152,8 +153,13 @@ def monte_carlo_heatmap(
         )
     schedule = config.schedule()
     d = config.d
-    q_angles = pair_positions(query, config) * schedule.theta
-    k_angles = _frame_pair_positions(config, grid, frame) * schedule.theta
+    keys = _frame_pair_positions(config, grid, frame)
+    # rotate by offsets from the frame's cell (0, 0), subtracted while the
+    # positions are still exact integers: scores depend only on differences,
+    # and the angles stay as small as the frame, however far into the video
+    origin = keys[0, 0]
+    q_angles = (pair_positions(query, config) - origin) * schedule.theta
+    k_angles = (keys - origin) * schedule.theta
     cells = grid.tokens_per_frame
     # one trial's rotated keys hold W*H*d values, twice the frame's angle array
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
@@ -186,11 +192,14 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     if max_delta < 1:
         raise ParameterError(f"max_delta must be >= 1, got {max_delta}")
     check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")
-    deltas = np.arange(max_delta + 1, dtype=np.float64)
-    values = expected_self_score(
-        np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
-    )
-    return DecayCurve(points=tuple((int(d), float(v)) for d, v in zip(deltas, values)))
+    values = np.empty(max_delta + 1, dtype=np.float64)
+    # DECAY_CHUNK_ROWS offsets at a time; each row's score does not depend on the block
+    for start in range(0, max_delta + 1, DECAY_CHUNK_ROWS):
+        deltas = np.arange(start, min(start + DECAY_CHUNK_ROWS, max_delta + 1), dtype=np.float64)
+        values[start : start + len(deltas)] = expected_self_score(
+            np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
+        )
+    return DecayCurve(points=tuple(enumerate(values.tolist())))
 
 
 def boundary_score_table(
@@ -202,27 +211,53 @@ def boundary_score_table(
     boundary; key sets are all video tokens and all text tokens preceding
     the query. Returns an empty tuple when the layout has no such boundary.
 
-    Keys are scored ``BOUNDARY_KEY_CHUNK`` rows at a time, so memory stays
-    bounded by the chunk, not by the key count times ``d/2``.
+    Every segment is an affine grid: its keys sit at ``p0 + sum_a k_a * s_a``,
+    ``0 <= k_a < n_a``, where ``p0`` is its first row's position and the
+    axes are one step of 1 in every dim for a text run, or the w, h and t
+    rows of the scheme's :func:`~ropelab.schemes.video_map` for a video. So
+    a segment's ``sum cos((q - p) * theta_j)`` is
+    ``Re[exp(i (q - p0) theta_j) * prod_a D(s_a theta_j, n_a)]`` with
+    ``D(x, n) = sum_{k<n} exp(-i k x) = exp(-i (n-1) x/2) sin(n x/2) / sin(x/2)``,
+    taken at ``x`` reduced into [-pi, pi] (the limit ``n`` at 0), and the
+    table costs O(segments * d/2), not O(keys * d/2).
     """
     config = layout.scheme
     schedule = _resolve_schedule(config, schedule)
     boundaries = video_text_boundaries(layout.segments)
     if not boundaries:
         return ()
-    query_index = boundaries[0][1].stop
-    alloc = group_allocation(config)
-    query = layout.positions[query_index, alloc].astype(np.float64)
-    scores = np.empty(query_index, dtype=np.float64)
-    for start in range(0, query_index, BOUNDARY_KEY_CHUNK):
-        keys = layout.positions[start : min(start + BOUNDARY_KEY_CHUNK, query_index)][:, alloc]
-        scores[start : start + len(keys)] = expected_self_score(query - keys, schedule)
-    is_video = layout.is_video[:query_index]
+    video_index, video_rows = boundaries[0]
+    segments = layout.segments[: video_index + 1]
+    steps = np.zeros((len(segments), 3, config.group_count), dtype=np.int64)
+    counts = np.ones((len(segments), 3), dtype=np.int64)
+    for i, segment in enumerate(segments):
+        if isinstance(segment, TextSegment):
+            steps[i, 0], counts[i, 0] = 1, segment.count
+        else:
+            grid = segment.grid
+            steps[i] = video_map(config, grid, 0)[0]
+            counts[i] = grid.width, grid.height, grid.frames
+    keys = counts.prod(axis=1)
+    first_rows = np.cumsum(keys) - keys
+    alloc, theta = group_allocation(config), schedule.theta
+    # q - p0 stays in integers until it meets theta
+    angle = (layout.positions[video_rows.stop] - layout.positions[first_rows])[:, alloc] * theta
+    x = steps[:, :, alloc] * theta  # (segments, 3 axes, pairs)
+    half = (x - 2 * np.pi * np.round(x / (2 * np.pi))) / 2  # x reduced into [-pi, pi]
+    n = counts[:, :, None].astype(np.float64)
+    sin_half = np.sin(half)
+    # sin(n x/2) / sin(x/2), or its limit n where x is 0
+    ratio = np.divide(
+        np.sin(n * half), sin_half, out=np.broadcast_to(n, half.shape).copy(), where=sin_half != 0
+    )
+    # Re[exp(i angle) prod_a D] per segment and pair; the mean over pairs is the kernel's (2/d) sum
+    sums = np.mean(np.cos(angle - ((n - 1) * half).sum(axis=1)) * ratio.prod(axis=1), axis=-1)
+    is_video = np.array([isinstance(segment, VideoSegment) for segment in segments])
     rows: list[BoundaryScore] = []
     for target, mask in (("video", is_video), ("text", ~is_video)):
-        selected = scores[mask]
-        if selected.size:
-            rows.append(BoundaryScore(config.scheme, target, float(selected.mean())))
+        if mask.any():
+            mean = float(sums[mask].sum() / keys[mask].sum())
+            rows.append(BoundaryScore(config.scheme, target, mean))
     return tuple(rows)
 
 

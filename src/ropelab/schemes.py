@@ -287,14 +287,21 @@ def text_start_after_video(config: SchemeConfig, grid: VideoGrid, p_start: int) 
 
 
 def pair_positions(position, config: SchemeConfig) -> np.ndarray:
-    """Expand a position vector to one value per channel pair via the allocation."""
-    position = np.asarray(position, dtype=np.float64)
+    """Expand a position vector to one value per channel pair via the allocation.
+
+    Raises ParameterError if a dim is not finite or lies past ``MAX_POSITION``
+    either side of 0, checked before the float64 cast, which would round it.
+    """
+    position = np.asarray(position)
     if position.ndim != 1 or position.size != config.group_count:
         raise DimensionError(
             f"{config.scheme} position needs {config.group_count} dims, "
             f"got shape {position.shape}"
         )
-    return position[group_allocation(config)]
+    for value in position.tolist():
+        if not abs(value) <= MAX_POSITION:
+            raise ParameterError(f"{config.scheme} position {value} is outside [-2**53, 2**53]")
+    return position.astype(np.float64)[group_allocation(config)]
 
 
 def rotate_with_scheme(x, position, config: SchemeConfig) -> np.ndarray:

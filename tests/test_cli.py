@@ -273,6 +273,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "budget" in captured.err
 
+    # past 2**53 the float64 deltas from the query to the cells round to one value
+    @pytest.mark.parametrize("mode", [[], ["--mc", "--trials", "10"]])
+    def test_query_past_position_cap_exits_2(self, mode, capsys):
+        argv = ["heatmap", "--scheme", "rope1d", "--video", "2x2x1", "--d", "8", *mode]
+        # the first text position after the video is 4; the query is gap - 1 past it
+        assert main(argv + ["--query-gap", str(2**53 - 3)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        for gap in (2**53 - 2, 10**20):
+            assert main(argv + ["--query-gap", str(gap)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "2**53" in captured.err
+
     def test_frame_out_of_range_exits_2(self, capsys):
         rc = main(["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--frame", "5"])
         assert rc == 2

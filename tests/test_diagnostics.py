@@ -36,6 +36,7 @@ from ropelab import (
     softmax_grid,
 )
 from ropelab import diagnostics, rotary
+from ropelab.schemes import text_start_after_video
 
 from oracles import (
     expected_score_ref,
@@ -119,6 +120,14 @@ class TestHeatmap:
         with pytest.raises(DimensionError):
             heatmap(config, VideoGrid(2, 2, 1), 0, (5, 5, 5, 5), build_frequency_schedule(10000.0, 16))
 
+    @pytest.mark.parametrize("query", [(2**53 + 1,), (-(2**53) - 1,), (10**20,), (float("nan"),)])
+    def test_query_past_position_cap(self, query):
+        config = SchemeConfig("rope1d", d=8)
+        with pytest.raises(ParameterError, match="2\\*\\*53"):
+            heatmap(config, VideoGrid(2, 2, 1), 0, query)
+        with pytest.raises(ParameterError, match="2\\*\\*53"):
+            monte_carlo_heatmap(config, VideoGrid(2, 2, 1), 0, query, TrialConfig(0, 1, d=8))
+
 
 class TestDecayCurve:
     def test_d2_is_cosine(self):
@@ -153,6 +162,14 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, 8)
         with pytest.raises(ParameterError, match="budget"):
             decay_curve(schedule, 10**12)
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_chunk_size_does_not_change_values(self, d, monkeypatch):
+        schedule = build_frequency_schedule(10000.0, d)
+        whole = decay_curve(schedule, 1000)
+        for rows in (1, 7, 1000, 1001):
+            monkeypatch.setattr(diagnostics, "DECAY_CHUNK_ROWS", rows)
+            assert decay_curve(schedule, 1000) == whole
 
 
 class TestBoundaryScoreTable:
@@ -309,6 +326,20 @@ class TestMonteCarloHeatmap:
                 config, video, 1, (9,) * config.group_count, trial_config
             )
             assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
+
+    def test_far_frame_matches_near_frame(self):
+        # the same last frame 2e15 positions into the video: rotating by offsets
+        # from the frame's cell (0, 0) keeps the angles as small as at 1000 frames
+        config = SchemeConfig("rope1d", d=8)
+        trial_config = TrialConfig(seed=1, trials=4000, d=8)
+        values = []
+        for frames in (1000, 2 * 10**15):
+            video = VideoGrid(2, 2, frames)
+            query = text_start_after_video(config, video, 0)
+            values.append(
+                monte_carlo_heatmap(config, video, frames - 1, query, trial_config).values
+            )
+        assert np.max(np.abs(values[1] - values[0])) <= 1e-12
 
     def test_key_batch_over_array_budget(self, monkeypatch):
         # the 4x4 frame's angles (4*4*4 = 64 values) fit; one trial's keys (4*4*8 = 128) do not

@@ -31,7 +31,7 @@ from ropelab import (
     parse_layout_spec,
     text_position,
 )
-from ropelab import diagnostics, layout as layout_module
+from ropelab import layout as layout_module
 
 from oracles import scheme_position_ref
 
@@ -178,16 +178,63 @@ def test_boundary_score_table_matches_per_key_loop(segments, config):
 SPEC = "text:5,video:4x3x3,text:2,video:2x2x1,text:1"
 
 
+def assert_scores_match_reference(segments, config):
+    layout = build_layout(segments, config)
+    expected = reference_scores(reference_tokens(segments, config), tuple(segments), config)
+    got = boundary_score_table(layout)
+    assert [(row.scheme_id, row.target) for row in got] == [row[:2] for row in expected]
+    for row, (_, _, mean) in zip(got, expected):
+        assert abs(row.mean_score - mean) <= 1e-12
+
+
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
-def test_score_chunk_size_does_not_change_scores(scheme, monkeypatch):
-    layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=16))
-    whole = boundary_score_table(layout)
-    for chunk in (1, 7):
-        monkeypatch.setattr(diagnostics, "BOUNDARY_KEY_CHUNK", chunk)
-        chunked = boundary_score_table(layout)
-        assert [row.target for row in chunked] == [row.target for row in whole]
-        for a, b in zip(chunked, whole):
-            assert abs(a.mean_score - b.mean_score) <= 1e-12
+def test_spec_scores_match_per_key_loop(scheme):
+    assert_scores_match_reference(parse_layout_spec(SPEC), SchemeConfig(scheme, d=16))
+
+
+@st.composite
+def scored_configs(draw):
+    """Any scheme with d in {4, 8, 16, 64} (vrope needs d/2 divisible by 4) and base in [1, 1e6]."""
+    scheme = draw(st.sampled_from(SCHEME_IDS))
+    d = draw(st.sampled_from((8, 16, 64) if scheme == "vrope" else (4, 8, 16, 64)))
+    return SchemeConfig(scheme, d=d, base=draw(st.floats(1.0, 1e6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=SEGMENTS, config=scored_configs())
+def test_closed_form_scores_match_per_key_loop(segments, config):
+    assert_scores_match_reference(segments, config)
+
+
+# theta_j = base**(-2j/d) = (2*pi)**(4j/d): pair d/4 turns by one whole turn, to
+# within an ulp, per position step, where sin(x/2) of the unreduced angle is ~0
+TWO_PI_BASE = (2 * math.pi) ** -2
+
+
+@pytest.mark.parametrize(
+    "spec", ["video:1000x1x1,text:1", "video:5x3x2,text:1", "text:1000,video:1x1x1,text:1"]
+)
+@pytest.mark.parametrize(
+    "scheme, d",
+    [(scheme, d) for scheme in SCHEME_IDS for d in (4, 8) if (scheme, d) != ("vrope", 4)],
+)
+def test_scores_at_whole_turn_steps(spec, scheme, d):
+    config = SchemeConfig(scheme, d=d, base=TWO_PI_BASE)
+    assert_scores_match_reference(parse_layout_spec(spec), config)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "video:1x1x1,text:1",
+        "text:1,video:1x1x1,text:1",
+        "text:1,video:1x1x1,text:1,video:1x1x1,text:1",
+        "text:1,video:2x1x3,text:1,video:1x1x1,text:1",
+    ],
+)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_scores_of_single_token_segments(spec, scheme):
+    assert_scores_match_reference(parse_layout_spec(spec), SchemeConfig(scheme, d=8))
 
 
 @pytest.mark.parametrize("scheme", SCHEME_IDS)

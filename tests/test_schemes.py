@@ -350,6 +350,15 @@ class TestTextPosition:
             pair_positions((1, 2, 3), config)
         assert pair_positions((5, 6, 7, 8), config).tolist() == [5.0, 6.0, 7.0, 8.0]
 
+    def test_pair_positions_cap(self):
+        config = SchemeConfig("rope3d", d=8)
+        # d/2 = 4 pairs over dims t, t, h, w
+        expected = [float(MAX_POSITION)] * 2 + [float(-MAX_POSITION), 0.0]
+        assert pair_positions((MAX_POSITION, -MAX_POSITION, 0), config).tolist() == expected
+        for value in (MAX_POSITION + 1, -MAX_POSITION - 1, 10**30, float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="2\\*\\*53"):
+                pair_positions((0, value, 0), config)
+
 
 class TestVideoGrid:
     def test_rejects_zero_sizes(self):
