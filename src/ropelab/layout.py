@@ -4,13 +4,17 @@ A layout spec is a comma-separated list of segments, e.g.
 ``"text:2,video:2x2x1,text:1"`` (video sizes are WxHxT). Whitespace is
 insignificant. :func:`build_layout` resolves every token's position vector
 under a scheme, including each scheme's continuation rule at segment
-boundaries, and :func:`boundary_gaps` measures the per-dim jump at every
-video-to-text boundary.
+boundaries, into the layout's one per-token array, ``positions``; a
+token's segment, modality, cell and offset follow from the segments.
+:func:`boundary_gaps` measures the per-dim jump at every video-to-text
+boundary.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import itertools
 import re
@@ -31,7 +35,7 @@ from .schemes import (
     video_map,
 )
 
-# rows per block when converting layout arrays to Python objects or CSV text
+# rows per block when converting a layout to Python objects or CSV text
 _CHUNK_ROWS = 4096
 
 
@@ -78,34 +82,34 @@ class LayoutToken:
 class LayoutTokens(Sequence):
     """Read-only per-token view of a :class:`TokenLayout`.
 
-    Tokens are built from the layout's arrays when accessed; ``len()`` costs
-    O(1). The view compares equal to a tuple, or another view, holding the
-    same tokens in the same order.
+    Tokens are built when accessed, from ``positions`` and the segment that
+    holds each row, found by binary search over the segments' first rows;
+    ``len()`` costs O(1). The view compares equal to a tuple, or another
+    view, holding the same tokens in the same order.
     """
 
-    __slots__ = ("_layout",)
+    __slots__ = ("_layout", "_starts")
 
     def __init__(self, layout: TokenLayout):
         self._layout = layout
+        self._starts = _segment_starts(layout.segments)
 
     def __len__(self) -> int:
         return len(self._layout.positions)
 
     def _build(self, start: int, stop: int) -> list[LayoutToken]:
-        layout = self._layout
-        rows = zip(
-            layout.segment_index[start:stop].tolist(),
-            layout.is_video[start:stop].tolist(),
-            layout.coords[start:stop].tolist(),
-            layout.ordinal[start:stop].tolist(),
-            layout.positions[start:stop].tolist(),
-        )
-        return [
-            LayoutToken("video", segment, TokenCoordinate(*coord), None, tuple(position))
-            if video
-            else LayoutToken("text", segment, None, ordinal, tuple(position))
-            for segment, video, coord, ordinal, position in rows
-        ]
+        segments, starts, tokens = self._layout.segments, self._starts, []
+        index = bisect.bisect_right(starts, start) - 1
+        for row, position in enumerate(self._layout.positions[start:stop].tolist(), start):
+            if row == starts[index + 1]:  # segments are never empty
+                index += 1
+            segment, offset = segments[index], row - starts[index]
+            if isinstance(segment, VideoSegment):
+                coord = TokenCoordinate(*_cell(offset, segment.grid))
+                tokens.append(LayoutToken("video", index, coord, None, tuple(position)))
+            else:
+                tokens.append(LayoutToken("text", index, None, offset, tuple(position)))
+        return tokens
 
     def __getitem__(self, index):
         picked = range(len(self))[index]  # normalizes negatives, raises IndexError
@@ -128,45 +132,32 @@ class LayoutTokens(Sequence):
         return f"<LayoutTokens of {len(self)} tokens>"
 
 
-_ARRAY_FIELDS = ("positions", "segment_index", "is_video", "coords", "ordinal")
-
-
 @dataclass(frozen=True, eq=False)
 class TokenLayout:
-    """All tokens of a sequence in order, stored as arrays, with their scheme.
+    """All tokens of a sequence in order, with their segments and scheme.
 
-    Row ``i`` of every array describes token ``i``:
-
-    * ``positions``: (N, G) int64, one column per channel group;
-    * ``segment_index``: (N,) int64, the owning segment;
-    * ``is_video``: (N,) bool, the modality;
-    * ``coords``: (N, 3) int64 columns ``w, h, t`` of video tokens, -1 on text rows;
-    * ``ordinal``: (N,) int64 offset of a text token within its segment, -1 on video rows.
-
-    Video tokens appear in raster order (frame outer, then row, then
-    column); text positions increase by one per token within a segment.
-    The arrays are read-only; :attr:`tokens` derives per-token objects
-    from them.
+    ``positions`` is a read-only (N, G) int64 array, row ``i`` the position
+    vector of token ``i``, one column per channel group. Video tokens
+    appear in raster order (frame outer, then row, then column); text
+    positions increase by one per token within a segment. Everything else
+    about a token, its segment, modality, cell or offset, follows from the
+    segments; :attr:`tokens` derives per-token objects from both.
     """
 
     scheme: SchemeConfig
     segments: tuple[Segment, ...]
     positions: np.ndarray
-    segment_index: np.ndarray
-    is_video: np.ndarray
-    coords: np.ndarray
-    ordinal: np.ndarray
 
-    @property
+    @functools.cached_property
     def tokens(self) -> LayoutTokens:
-        """Per-token view of the arrays (see :class:`LayoutTokens`)."""
+        """Per-token view of the layout (see :class:`LayoutTokens`), built once."""
         return LayoutTokens(self)
 
     def __eq__(self, other):
         if not isinstance(other, TokenLayout):
             return NotImplemented
-        return (self.scheme, self.segments) == (other.scheme, other.segments) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAY_FIELDS
+        return (self.scheme, self.segments) == (other.scheme, other.segments) and np.array_equal(
+            self.positions, other.positions
         )
 
 
@@ -241,46 +232,49 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     moves it to :func:`~ropelab.schemes.text_start_after_video`.
 
     Each segment's rows are filled at once: text from a range, video as the
-    grid's cell indices times the scheme's :func:`~ropelab.schemes.video_map`.
+    grid's raster cells times the scheme's :func:`~ropelab.schemes.video_map`.
     """
     segments = tuple(segments)
     if not segments:
         raise ParameterError("segment list is empty")
-    sizes = [segment.token_count for segment in segments]
-    total = sum(sizes)
-    # the widest per-token arrays are positions (G columns) and coords (3)
+    slices = _segment_slices(segments)
+    total = slices[-1].stop
+    # the widest per-token arrays are positions (G columns) and a video's cells (3)
     check_array_budget(total * max(scheme.group_count, 3), f"a layout of {total} tokens")
     positions = np.empty((total, scheme.group_count), dtype=np.int64)
-    coords = np.full((total, 3), -1, dtype=np.int64)
-    ordinal = np.full(total, -1, dtype=np.int64)
     start = text_position(0, scheme)
-    for segment, rows in zip(segments, _segment_slices(sizes)):
+    for segment, rows in zip(segments, slices):
         if isinstance(segment, TextSegment):
-            steps = np.arange(segment.count, dtype=np.int64)
-            ordinal[rows] = steps
-            positions[rows] = np.add.outer(steps, start)
+            positions[rows] = np.add.outer(np.arange(segment.count, dtype=np.int64), start)
             start = tuple(v + segment.count for v in start)
         else:
             grid = segment.grid
             p = max(start)
-            cells = np.indices((grid.frames, grid.height, grid.width), dtype=np.int64)
-            t, h, w = cells.reshape(3, -1)
-            coords[rows] = np.stack((w, h, t), axis=1)
+            cells = np.stack(_cell(np.arange(grid.token_count, dtype=np.int64), grid), axis=1)
             matrix, offsets, _ = video_map(scheme, grid, p)
-            positions[rows] = coords[rows] @ matrix + offsets
+            # in place: no (n, G) product or sum is held beside positions
+            np.matmul(cells, matrix, out=positions[rows])
+            positions[rows] += offsets
             start = text_start_after_video(scheme, grid, p)
-    segment_index = np.repeat(np.arange(len(segments), dtype=np.int64), sizes)
-    is_video = np.repeat([isinstance(segment, VideoSegment) for segment in segments], sizes)
-    layout = TokenLayout(scheme, segments, positions, segment_index, is_video, coords, ordinal)
-    for name in _ARRAY_FIELDS:
-        getattr(layout, name).setflags(write=False)
-    return layout
+    positions.setflags(write=False)
+    return TokenLayout(scheme, segments, positions)
 
 
-def _segment_slices(sizes) -> list[slice]:
-    """Row range of each segment, given the segments' token counts."""
-    starts = [0, *itertools.accumulate(sizes)]
-    return [slice(start, stop) for start, stop in zip(starts, starts[1:])]
+def _cell(offset, grid: VideoGrid):
+    """``(w, h, t)`` of the cell at raster ``offset`` (an int or an array) of a video."""
+    t, in_frame = divmod(offset, grid.tokens_per_frame)
+    h, w = divmod(in_frame, grid.width)
+    return w, h, t
+
+
+def _segment_starts(segments) -> list[int]:
+    """First row of each segment, then the layout's token count."""
+    return [0, *itertools.accumulate(segment.token_count for segment in segments)]
+
+
+def _segment_slices(segments) -> list[slice]:
+    """Row range of each segment."""
+    return [slice(start, stop) for start, stop in itertools.pairwise(_segment_starts(segments))]
 
 
 def video_text_boundaries(segments) -> list[tuple[int, slice]]:
@@ -289,7 +283,7 @@ def video_text_boundaries(segments) -> list[tuple[int, slice]]:
     In sequence order; the following text segment's first row is the
     slice's ``stop``.
     """
-    slices = _segment_slices(segment.token_count for segment in segments)
+    slices = _segment_slices(segments)
     return [
         (index, slices[index])
         for index in range(len(segments) - 1)
@@ -320,23 +314,22 @@ def layout_csv(layout: TokenLayout) -> str:
     """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
 
     Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, from
-    ``tolist()`` slices of the arrays.
+    ``tolist()`` slices of ``positions`` and, on video rows, of the block's cells.
     """
     groups = layout.scheme.group_count
     dims = ",%d" * groups + "," * (4 - groups)
     pieces = [LAYOUT_CSV_HEADER, "\n"]
-    slices = _segment_slices(segment.token_count for segment in layout.segments)
+    slices = _segment_slices(layout.segments)
     for index, (segment, rows) in enumerate(zip(layout.segments, slices)):
-        if isinstance(segment, VideoSegment):
-            row_format = f"%d,video,{index},%d,%d,%d{dims}"
-            columns = [layout.coords[:, 0], layout.coords[:, 1], layout.coords[:, 2]]
-        else:
-            row_format = f"%d,text,{index},,,{dims}"
-            columns = []
-        columns += [layout.positions[:, g] for g in range(groups)]
+        video = isinstance(segment, VideoSegment)
+        row_format = f"%d,video,{index},%d,%d,%d{dims}" if video else f"%d,text,{index},,,{dims}"
         for start in range(rows.start, rows.stop, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, rows.stop)
-            values = [range(start, stop)] + [column[start:stop].tolist() for column in columns]
+            values = [range(start, stop)]
+            if video:
+                offsets = np.arange(start - rows.start, stop - rows.start)
+                values += [axis.tolist() for axis in _cell(offsets, segment.grid)]
+            values += [layout.positions[start:stop, g].tolist() for g in range(groups)]
             pieces.append("\n".join([row_format % row for row in zip(*values)]))
             pieces.append("\n")
     return "".join(pieces)
@@ -358,9 +351,11 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         LayoutParseError: on a foreign header, a wrong column count, an
             unknown modality, an empty or non-integer cell where a number
             belongs, a ``token_index`` other than the row's 0-based index,
-            a text row with a w/h/t cell filled, or a row whose dim count
-            differs from row 2's. Messages name the 1-based CSV row (the
-            header is row 1).
+            a text row with a w/h/t cell filled, a row whose dim count
+            differs from row 2's, a ``segment_index`` other than 0 on row 2
+            or other than the previous row's or one more on a later row, or
+            a row whose modality differs from its segment's first row.
+            Messages name the 1-based CSV row (the header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -370,7 +365,7 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
     if ",".join(header) != LAYOUT_CSV_HEADER:
         raise LayoutParseError(f"unexpected layout CSV header: {','.join(header)!r}")
     tokens: list[LayoutToken] = []
-    text_ordinals: dict[int, int] = {}
+    segment_start = 0  # token index of the current segment's first row
     for row_number, row in enumerate(reader, start=2):
         if len(row) != 10:
             raise LayoutParseError(
@@ -388,15 +383,11 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         position = tuple(
             _csv_int(v, f"dim{i}", row_number) for i, v in enumerate(dims[: max(used, 1)])
         )
+        coord = None
         if modality == "video":
             coord = TokenCoordinate(
                 *(_csv_int(cell, name, row_number) for cell, name in ((w, "w"), (h, "h"), (t, "t")))
             )
-            token = LayoutToken("video", segment, coord, None, position)
-        else:
-            ordinal = text_ordinals.get(segment, 0)
-            text_ordinals[segment] = ordinal + 1
-            token = LayoutToken("text", segment, None, ordinal, position)
         # row consistency, checked once every cell has parsed
         if index != len(tokens):
             raise LayoutParseError(
@@ -410,5 +401,24 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
             raise LayoutParseError(
                 f"row {row_number}: has {len(position)} dims, row 2 has {len(tokens[0].position)}"
             )
-        tokens.append(token)
+        if not tokens:
+            if segment != 0:
+                raise LayoutParseError(
+                    f"row {row_number}: segment_index must be 0 on the first row, got {segment}"
+                )
+        elif segment == tokens[-1].segment_index:
+            if modality != tokens[-1].modality:
+                raise LayoutParseError(
+                    f"row {row_number}: modality {modality} differs from segment {segment}'s "
+                    f"first row, {tokens[-1].modality}"
+                )
+        elif segment != tokens[-1].segment_index + 1:
+            previous = tokens[-1].segment_index
+            raise LayoutParseError(
+                f"row {row_number}: segment_index must be {previous} or {previous + 1}, got {segment}"
+            )
+        else:
+            segment_start = len(tokens)
+        ordinal = None if modality == "video" else len(tokens) - segment_start
+        tokens.append(LayoutToken(modality, segment, coord, ordinal, position))
     return tuple(tokens)

@@ -274,11 +274,19 @@ class TestLayoutCsv:
             ("7,text,0,,,,0,,,", "token_index must be 1, got 7"),
             ("1,text,0,1,2,3,0,,,", "w/h/t must be empty on a text row"),
             ("1,video,1,0,0,0,0,0,0,", "has 3 dims, row 2 has 1"),
+            ("1,video,0,0,0,0,1,,,", "modality video differs from segment 0's first row, text"),
+            ("1,text,2,,,,1,,,", "segment_index must be 0 or 1, got 2"),
+            ("1,text,-1,,,,1,,,", "segment_index must be 0 or 1, got -1"),
         ],
     )
     def test_bad_cell_reports_row(self, row, column):
         text = LAYOUT_CSV_HEADER + "\n0,text,0,,,,0,,,\n" + row + "\n"
         with pytest.raises(LayoutParseError, match=f"row 3: {column}"):
+            parse_layout_csv(text)
+
+    def test_first_row_must_open_segment_0(self):
+        text = LAYOUT_CSV_HEADER + "\n0,text,3,,,,0,,,\n1,text,1,,,,1,,,\n"
+        with pytest.raises(LayoutParseError, match="row 2: segment_index must be 0 on the first row"):
             parse_layout_csv(text)
 
     def test_uses_lf_only(self):

