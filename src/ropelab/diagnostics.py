@@ -4,13 +4,16 @@ The default metric is the closed-form expected self-score
 ``(2/d) * sum_j cos(delta_j * theta_j)`` -- the exact expectation of the
 rotated dot product of a random vector with itself across a position
 offset, normalized to 1 at zero offset. A Monte-Carlo variant estimates
-the same quantity through the actual rotation path; trial ``r`` draws from
-a substream derived from ``(seed, r)`` (numpy PCG64 via
-``SeedSequence([seed, r])``), so each trial's vector does not depend on
-evaluation order or parallelism. Trials are summed in fixed-size blocks,
-so the output is fixed for a given version, seed and trial count; a
-version that changes the blocking or the summation order may differ in
-the last bits, which can flip a 6th decimal.
+the same quantity through the actual rotation path; trial ``r`` draws
+``standard_normal(d)`` from numpy's PCG64 seeded by
+``SeedSequence([seed, r])``, so each trial's vector does not depend on
+evaluation order or parallelism. The seeding runs in bulk, for a block of
+trials at once (:func:`_trial_normals`), and gives exactly the vectors of
+``default_rng(SeedSequence([seed, r]))``; a test holds it to numpy's own
+seeding. Trials are summed in fixed-size blocks, so the output is fixed
+for a given version, seed and trial count; a version that changes the
+blocking or the summation order may differ in the last bits, which can
+flip a 6th decimal.
 """
 
 from __future__ import annotations
@@ -42,6 +45,18 @@ from .schemes import (
 DECAY_CHUNK_ROWS = 8192
 # rotated-key elements per block of Monte-Carlo trials (2 MiB of float64)
 MC_CHUNK_ELEMENTS = 2**18
+
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix and mix
+# constants of its 4-word uint32 pool and of generate_state
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+# PCG64's 128-bit LCG multiplier, PCG_DEFAULT_MULTIPLIER_128
+# (numpy/random/src/pcg64/pcg64.h), used by pcg_setseq_128_srandom_r
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -167,16 +182,77 @@ def monte_carlo_heatmap(
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
     for start in range(0, trials, chunk):
-        x = np.stack([
-            np.random.default_rng(np.random.SeedSequence([seed, trial])).standard_normal(d)
-            for trial in range(start, min(start + chunk, trials))
-        ])
+        x = _trial_normals(seed, start, min(start + chunk, trials), d)
         rq = rotate(x, q_angles)
         rk = rotate(x[:, None, None, :], k_angles)
         acc += np.einsum("nwhd,nd->wh", rk, rq) / d
     return ScoreGrid(
         values=acc / trials, scheme=config, query=tuple(query), frame=frame
     )
+
+
+def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
+    """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
+
+    For every trial ``r`` in ``[start, stop)`` at once, this computes
+    numpy's ``SeedSequence`` pool from the entropy words ``[seed, r]`` and
+    its ``generate_state(4, uint64)`` in vectorized uint32 arithmetic.
+    PCG64's seeding (``pcg_setseq_128_srandom_r``) then runs per trial in
+    Python ints, and one ``PCG64`` takes each trial's state in turn and
+    draws into its row. ``seed`` and ``r`` are below 2**64, so the words
+    never outnumber the pool. numpy hashes a pool word the input lacks as
+    a zero word, so ``r``'s high word can be passed for every trial: a
+    trial below 2**32, one word in numpy's entropy, gets the same pool.
+    """
+    trials = np.arange(start, stop, dtype=np.uint64)
+    n = len(trials)
+    # numpy splits an int into 32-bit words, low first; 0 is one word
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    words = [np.full(n, word, dtype=np.uint32) for word in seed_words]
+    words += [(trials & _MASK32).astype(np.uint32), (trials >> 32).astype(np.uint32)]
+    words += [np.zeros(n, dtype=np.uint32)] * (_POOL_WORDS - len(words))
+    # uint32 arrays wrap like numpy's C code; the hash constants stay Python ints
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in words]
+    for i_src in range(_POOL_WORDS):
+        for i_dst in range(_POOL_WORDS):
+            if i_src != i_dst:
+                mixed = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * hashmix(pool[i_src])
+                pool[i_dst] = mixed ^ (mixed >> 16)
+    hash_const = _INIT_B
+    state_words = []
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state_words.append((value ^ (value >> 16)).astype(np.uint64))
+    # generate_state(4, uint64) pairs the words little-endian: seed high, low, inc high, low
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (state_words[2 * k] | state_words[2 * k + 1] << 32).tolist() for k in range(4)
+    )
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    out = np.empty((n, d), dtype=np.float64)
+    for row, s_hi, s_lo, i_hi, i_lo in zip(out, seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # from state 0: step, add the seed, step
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    return out
 
 
 def softmax_grid(grid: ScoreGrid) -> ScoreGrid:
@@ -272,11 +348,17 @@ def heatmap_csv(grid: ScoreGrid) -> str:
 
 
 def decay_csv(curve: DecayCurve) -> str:
-    """Decay curve as ``delta,value`` CSV rows, 6-decimal values."""
-    lines = ["delta,value"]
-    for delta, value in curve.points:
-        lines.append(f"{delta},{value:.6f}")
-    return "\n".join(lines) + "\n"
+    """Decay curve as ``delta,value`` CSV rows, 6-decimal values.
+
+    Rows are joined ``DECAY_CHUNK_ROWS`` at a time, so no more than one
+    block's line strings exist beside the text.
+    """
+    points = curve.points
+    pieces = ["delta,value\n"]
+    for start in range(0, len(points), DECAY_CHUNK_ROWS):
+        block = points[start : start + DECAY_CHUNK_ROWS]
+        pieces.append("".join([f"{delta},{value:.6f}\n" for delta, value in block]))
+    return "".join(pieces)
 
 
 def boundary_csv(rows) -> str:

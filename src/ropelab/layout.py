@@ -353,9 +353,11 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
             belongs, a ``token_index`` other than the row's 0-based index,
             a text row with a w/h/t cell filled, a row whose dim count
             differs from row 2's, a ``segment_index`` other than 0 on row 2
-            or other than the previous row's or one more on a later row, or
-            a row whose modality differs from its segment's first row.
-            Messages name the 1-based CSV row (the header is row 1).
+            or other than the previous row's or one more on a later row, a
+            row whose modality differs from its segment's first row, or a
+            video segment whose rows do not walk its grid in raster order
+            (see :func:`_check_video_rows`). Messages name the 1-based CSV
+            row (the header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -418,7 +420,38 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
                 f"row {row_number}: segment_index must be {previous} or {previous + 1}, got {segment}"
             )
         else:
+            _check_video_rows(tokens, segment_start)
             segment_start = len(tokens)
         ordinal = None if modality == "video" else len(tokens) - segment_start
         tokens.append(LayoutToken(modality, segment, coord, ordinal, position))
+    if tokens:
+        _check_video_rows(tokens, segment_start)
     return tuple(tokens)
+
+
+def _check_video_rows(tokens: list[LayoutToken], first: int) -> None:
+    """Raise unless the segment ``tokens[first:]``, if video, walks one grid in raster order.
+
+    The grid is ``(max w + 1) x (max h + 1) x (max t + 1)`` over the
+    segment's rows; row ``k`` must hold the grid's raster cell ``k``, and
+    the rows must cover every cell. Token ``i`` is CSV row ``i + 2``.
+    """
+    if tokens[first].modality != "video":
+        return
+    cells = [(token.coord.w, token.coord.h, token.coord.t) for token in tokens[first:]]
+    # a negative cell fails the row check; the floor only keeps the grid valid
+    grid = VideoGrid(*(max(max(axis), 0) + 1 for axis in zip(*cells)))
+    segment = tokens[first].segment_index
+    size = f"{grid.width}x{grid.height}x{grid.frames}"
+    for k, cell in enumerate(cells):
+        expected = _cell(k, grid)
+        if cell != expected:
+            raise LayoutParseError(
+                f"row {first + k + 2}: w/h/t {'%d,%d,%d' % cell} out of raster order; "
+                f"cell {k} of segment {segment}'s {size} grid is {'%d,%d,%d' % expected}"
+            )
+    if len(cells) != grid.token_count:
+        raise LayoutParseError(
+            f"row {first + 2}: video segment {segment} has {len(cells)} rows, "
+            f"its {size} grid has {grid.token_count} cells"
+        )

@@ -1,8 +1,14 @@
 """CLI tests: golden outputs, exit codes, determinism, SVG rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ropelab
 from ropelab import (
     SCHEME_IDS,
     SchemeConfig,
@@ -316,3 +322,15 @@ class TestSvgRendering:
         svg = heatmap_svg(grid)
         assert f"<title>{grid.values[0, 0]:.6f}</title>" in svg
         assert np.all(grid.values <= 1.0)
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy imports numpy.random lazily; loading it at import would add to
+        # every job's start time and to the peak RSS of jobs that never sample
+        env = {**os.environ, "PYTHONPATH": str(Path(ropelab.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, ropelab.cli; print('numpy.random' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout == "False\n"

@@ -314,6 +314,30 @@ class TestMonteCarloHeatmap:
         expected = monte_carlo_heatmap_ref(q_angles, k_angles, 3, trials, 64)
         assert np.max(np.abs(got.values - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [7, 2**32, 2**64 - 1])
+    def test_bit_identical_to_per_trial_generators(self, seed):
+        # the same blocks, rotate calls and einsum, with one default_rng per trial
+        config = SchemeConfig("vrope", d=64)
+        video = VideoGrid(8, 8, 2)
+        chunk = diagnostics.MC_CHUNK_ELEMENTS // (video.tokens_per_frame * 64)
+        trials = 2 * chunk + 5
+        query = build_layout([VideoSegment(video), TextSegment(1)], config).tokens[-1].position
+        got = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=seed, trials=trials))
+        schedule = config.schedule()
+        keys = diagnostics._frame_pair_positions(config, video, 1)
+        q_angles = (pair_positions(query, config) - keys[0, 0]) * schedule.theta
+        k_angles = (keys - keys[0, 0]) * schedule.theta
+        acc = np.zeros((8, 8))
+        for start in range(0, trials, chunk):
+            x = np.stack([
+                np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(64)
+                for r in range(start, min(start + chunk, trials))
+            ])
+            rq = rotary.rotate(x, q_angles)
+            rk = rotary.rotate(x[:, None, None, :], k_angles)
+            acc += np.einsum("nwhd,nd->wh", rk, rq) / 64
+        assert np.array_equal(got.values, acc / trials)
+
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_mc_chunk_size_does_not_change_values(self, scheme, monkeypatch):
         config = SchemeConfig(scheme, d=16)
@@ -351,6 +375,18 @@ class TestMonteCarloHeatmap:
             monte_carlo_heatmap(
                 config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1, d=8)
             )
+
+
+class TestTrialNormals:
+    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 257), (9990, 10000), (2**32 - 2, 2**32 + 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 20240701, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_matches_numpy_seeding(self, seed, start, stop):
+        for d in (2, 8, 64):
+            expected = np.stack([
+                np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(d)
+                for r in range(start, stop)
+            ])
+            assert np.array_equal(diagnostics._trial_normals(seed, start, stop, d), expected)
 
 
 class TestSoftmaxGrid:

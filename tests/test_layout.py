@@ -277,6 +277,22 @@ class TestLayoutCsv:
             ("1,video,0,0,0,0,1,,,", "modality video differs from segment 0's first row, text"),
             ("1,text,2,,,,1,,,", "segment_index must be 0 or 1, got 2"),
             ("1,text,-1,,,,1,,,", "segment_index must be 0 or 1, got -1"),
+            # two rows on one cell, which no grid's raster order repeats
+            (
+                "1,video,1,5,5,5,1,,,\n2,video,1,5,5,5,1,,,",
+                "w/h/t 5,5,5 out of raster order; cell 0 of segment 1's 6x6x6 grid is 0,0,0",
+            ),
+            # a 2x2x1 grid missing its last cell
+            (
+                "1,video,1,0,0,0,1,,,\n2,video,1,1,0,0,2,,,\n3,video,1,0,1,0,3,,,\n4,text,2,,,,4,,,",
+                "video segment 1 has 3 rows, its 2x2x1 grid has 4 cells",
+            ),
+            # cells (0,0,0) and (1,0,0) swapped
+            (
+                "1,video,1,1,0,0,1,,,\n2,video,1,0,0,0,2,,,",
+                "w/h/t 1,0,0 out of raster order; cell 0 of segment 1's 2x1x1 grid is 0,0,0",
+            ),
+            ("1,video,1,-1,0,0,1,,,", "w/h/t -1,0,0 out of raster order"),
         ],
     )
     def test_bad_cell_reports_row(self, row, column):
