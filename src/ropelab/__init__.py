@@ -57,13 +57,11 @@ from .schemes import (
     SymmetricIndices,
     TokenCoordinate,
     VideoGrid,
-    center_align,
     group_allocation,
     pair_positions,
     rotate_with_scheme,
     scheme_position,
     symmetric_indices,
-    temporal_offset,
     text_position,
     vrope_position,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "boundary_score_table",
     "build_frequency_schedule",
     "build_layout",
-    "center_align",
     "decay_csv",
     "decay_curve",
     "expected_self_score",
@@ -123,7 +120,6 @@ __all__ = [
     "scheme_position",
     "softmax_grid",
     "symmetric_indices",
-    "temporal_offset",
     "text_position",
     "vrope_position",
 ]

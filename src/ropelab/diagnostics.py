@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
-from .layout import TextSegment, TokenLayout, VideoSegment, video_text_boundaries
+from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
     check_array_budget,
@@ -37,7 +37,6 @@ from .schemes import (
     VideoGrid,
     group_allocation,
     pair_positions,
-    video_map,
     video_positions,
 )
 
@@ -181,8 +180,10 @@ def monte_carlo_heatmap(
     chunk = max(1, MC_CHUNK_ELEMENTS // (cells * d))
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
+    # one generator for every block: its state is set per trial, so its own seed is never drawn
+    generator = np.random.Generator(np.random.PCG64(0))
     for start in range(0, trials, chunk):
-        x = _trial_normals(seed, start, min(start + chunk, trials), d)
+        x = _trial_normals(generator, seed, start, min(start + chunk, trials), d)
         rq = rotate(x, q_angles)
         rk = rotate(x[:, None, None, :], k_angles)
         acc += np.einsum("nwhd,nd->wh", rk, rq) / d
@@ -191,15 +192,18 @@ def monte_carlo_heatmap(
     )
 
 
-def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
+def _trial_normals(
+    generator: np.random.Generator, seed: int, start: int, stop: int, d: int
+) -> np.ndarray:
     """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
 
     For every trial ``r`` in ``[start, stop)`` at once, this computes
     numpy's ``SeedSequence`` pool from the entropy words ``[seed, r]`` and
     its ``generate_state(4, uint64)`` in vectorized uint32 arithmetic.
     PCG64's seeding (``pcg_setseq_128_srandom_r``) then runs per trial in
-    Python ints, and one ``PCG64`` takes each trial's state in turn and
-    draws into its row. ``seed`` and ``r`` are below 2**64, so the words
+    Python ints, and ``generator``, which must be backed by a ``PCG64``,
+    takes each trial's state in turn and draws into its row; its prior
+    state does not matter. ``seed`` and ``r`` are below 2**64, so the words
     never outnumber the pool. numpy hashes a pool word the input lacks as
     a zero word, so ``r``'s high word can be passed for every trial: a
     trial below 2**32, one word in numpy's entropy, gets the same pool.
@@ -238,8 +242,7 @@ def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     seed_hi, seed_lo, inc_hi, inc_lo = (
         (state_words[2 * k] | state_words[2 * k + 1] << 32).tolist() for k in range(4)
     )
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    bit_generator = generator.bit_generator
     out = np.empty((n, d), dtype=np.float64)
     for row, s_hi, s_lo, i_hi, i_lo in zip(out, seed_hi, seed_lo, inc_hi, inc_lo):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
@@ -287,38 +290,28 @@ def boundary_score_table(
     boundary; key sets are all video tokens and all text tokens preceding
     the query. Returns an empty tuple when the layout has no such boundary.
 
-    Every segment is an affine grid: its keys sit at ``p0 + sum_a k_a * s_a``,
-    ``0 <= k_a < n_a``, where ``p0`` is its first row's position and the
-    axes are one step of 1 in every dim for a text run, or the w, h and t
-    rows of the scheme's :func:`~ropelab.schemes.video_map` for a video. So
+    Every segment is an affine grid (see :class:`~ropelab.layout.TokenLayout`):
+    its keys sit at ``p0 + sum_a k_a * s_a``, ``0 <= k_a < n_a``, with ``p0``
+    its ``firsts`` row, ``s_a`` its ``steps`` and ``n_a`` its ``counts``. So
     a segment's ``sum cos((q - p) * theta_j)`` is
     ``Re[exp(i (q - p0) theta_j) * prod_a D(s_a theta_j, n_a)]`` with
     ``D(x, n) = sum_{k<n} exp(-i k x) = exp(-i (n-1) x/2) sin(n x/2) / sin(x/2)``,
     taken at ``x`` reduced into [-pi, pi] (the limit ``n`` at 0), and the
-    table costs O(segments * d/2), not O(keys * d/2).
+    table costs O(segments * d/2), not O(keys * d/2); it never fills
+    ``layout.positions``.
     """
     config = layout.scheme
     schedule = _resolve_schedule(config, schedule)
     boundaries = video_text_boundaries(layout.segments)
     if not boundaries:
         return ()
-    video_index, video_rows = boundaries[0]
-    segments = layout.segments[: video_index + 1]
-    steps = np.zeros((len(segments), 3, config.group_count), dtype=np.int64)
-    counts = np.ones((len(segments), 3), dtype=np.int64)
-    for i, segment in enumerate(segments):
-        if isinstance(segment, TextSegment):
-            steps[i, 0], counts[i, 0] = 1, segment.count
-        else:
-            grid = segment.grid
-            steps[i] = video_map(config, grid, 0)[0]
-            counts[i] = grid.width, grid.height, grid.frames
+    query = boundaries[0][0] + 1  # the text segment after the first video-to-text boundary
+    counts = layout.counts[:query]
     keys = counts.prod(axis=1)
-    first_rows = np.cumsum(keys) - keys
     alloc, theta = group_allocation(config), schedule.theta
     # q - p0 stays in integers until it meets theta
-    angle = (layout.positions[video_rows.stop] - layout.positions[first_rows])[:, alloc] * theta
-    x = steps[:, :, alloc] * theta  # (segments, 3 axes, pairs)
+    angle = (layout.firsts[query] - layout.firsts[:query])[:, alloc] * theta
+    x = layout.steps[:query, :, alloc] * theta  # (segments, 3 axes, pairs)
     half = (x - 2 * np.pi * np.round(x / (2 * np.pi))) / 2  # x reduced into [-pi, pi]
     n = counts[:, :, None].astype(np.float64)
     sin_half = np.sin(half)
@@ -328,7 +321,7 @@ def boundary_score_table(
     )
     # Re[exp(i angle) prod_a D] per segment and pair; the mean over pairs is the kernel's (2/d) sum
     sums = np.mean(np.cos(angle - ((n - 1) * half).sum(axis=1)) * ratio.prod(axis=1), axis=-1)
-    is_video = np.array([isinstance(segment, VideoSegment) for segment in segments])
+    is_video = np.array([isinstance(segment, VideoSegment) for segment in layout.segments[:query]])
     rows: list[BoundaryScore] = []
     for target, mask in (("video", is_video), ("text", ~is_video)):
         if mask.any():

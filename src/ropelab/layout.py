@@ -2,10 +2,10 @@
 
 A layout spec is a comma-separated list of segments, e.g.
 ``"text:2,video:2x2x1,text:1"`` (video sizes are WxHxT). Whitespace is
-insignificant. :func:`build_layout` resolves every token's position vector
-under a scheme, including each scheme's continuation rule at segment
-boundaries, into the layout's one per-token array, ``positions``; a
-token's segment, modality, cell and offset follow from the segments.
+insignificant. :func:`build_layout` resolves each segment under a scheme,
+continuation rules included, into an affine grid, from which the per-token
+``positions`` are filled when first read; a token's segment, modality,
+cell and offset follow from the segments.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
 """
@@ -84,8 +84,8 @@ class LayoutTokens(Sequence):
 
     Tokens are built when accessed, from ``positions`` and the segment that
     holds each row, found by binary search over the segments' first rows;
-    ``len()`` costs O(1). The view compares equal to a tuple, or another
-    view, holding the same tokens in the same order.
+    ``len()`` reads the segments and costs O(1). The view compares equal to
+    a tuple, or another view, holding the same tokens in the same order.
     """
 
     __slots__ = ("_layout", "_starts")
@@ -95,7 +95,7 @@ class LayoutTokens(Sequence):
         self._starts = _segment_starts(layout.segments)
 
     def __len__(self) -> int:
-        return len(self._layout.positions)
+        return self._starts[-1]
 
     def _build(self, start: int, stop: int) -> list[LayoutToken]:
         segments, starts, tokens = self._layout.segments, self._starts, []
@@ -136,17 +136,35 @@ class LayoutTokens(Sequence):
 class TokenLayout:
     """All tokens of a sequence in order, with their segments and scheme.
 
-    ``positions`` is a read-only (N, G) int64 array, row ``i`` the position
-    vector of token ``i``, one column per channel group. Video tokens
-    appear in raster order (frame outer, then row, then column); text
-    positions increase by one per token within a segment. Everything else
-    about a token, its segment, modality, cell or offset, follows from the
-    segments; :attr:`tokens` derives per-token objects from both.
+    Segment ``s`` is an affine grid (see :func:`build_layout`): the token at
+    raster cell ``k`` of ``counts[s]`` (S, 3) sits at ``firsts[s] + k @ steps[s]``,
+    ``firsts`` (S, G) and ``steps`` (S, 3, G) all read-only int64.
+    :attr:`positions` and :attr:`tokens` follow from the grids and segments.
     """
 
     scheme: SchemeConfig
     segments: tuple[Segment, ...]
-    positions: np.ndarray
+    firsts: np.ndarray
+    steps: np.ndarray
+    counts: np.ndarray
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """Read-only (N, G) int64 array, row ``i`` the position of token ``i``, filled once.
+
+        Video tokens appear in raster order (frame outer, then row, then
+        column); text positions increase by one per token within a segment.
+        """
+        slices = _segment_slices(self.segments)
+        positions = np.empty((slices[-1].stop, self.scheme.group_count), dtype=np.int64)
+        for first, steps, counts, rows in zip(self.firsts, self.steps, self.counts.tolist(), slices):
+            # a text run's counts are (n, 1, 1), so its cells are (k, 0, 0)
+            cells = np.stack(_cell(np.arange(rows.stop - rows.start), VideoGrid(*counts)), axis=1)
+            # in place: no (n, G) product or sum is held beside positions
+            np.matmul(cells, steps, out=positions[rows])
+            positions[rows] += first
+        positions.setflags(write=False)
+        return positions
 
     @functools.cached_property
     def tokens(self) -> LayoutTokens:
@@ -156,9 +174,7 @@ class TokenLayout:
     def __eq__(self, other):
         if not isinstance(other, TokenLayout):
             return NotImplemented
-        return (self.scheme, self.segments) == (other.scheme, other.segments) and np.array_equal(
-            self.positions, other.positions
-        )
+        return (self.scheme, self.segments) == (other.scheme, other.segments)
 
 
 @dataclass(frozen=True)
@@ -224,40 +240,38 @@ def format_layout_spec(segments) -> str:
 
 
 def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
-    """Resolve every token's position vector for the given segments and scheme.
+    """Resolve each segment's affine grid, in O(segments), for the segments and scheme.
 
     One vector, the next text token's position, carries the sequence from
-    ``text_position(0)``: a text segment counts up from it in every dim and
-    moves it past its last token; a video starts at its largest dim and
-    moves it to :func:`~ropelab.schemes.text_start_after_video`.
-
-    Each segment's rows are filled at once: text from a range, video as the
-    grid's raster cells times the scheme's :func:`~ropelab.schemes.video_map`.
+    ``text_position(0)``: a text segment is one axis from it, step 1 in
+    every dim, and moves it past its last token; a video starts at its
+    largest dim, takes the rows of the scheme's :func:`~ropelab.schemes.video_map`
+    as its w, h and t steps, and moves it to
+    :func:`~ropelab.schemes.text_start_after_video`.
     """
     segments = tuple(segments)
     if not segments:
         raise ParameterError("segment list is empty")
-    slices = _segment_slices(segments)
-    total = slices[-1].stop
-    # the widest per-token arrays are positions (G columns) and a video's cells (3)
+    total = _segment_starts(segments)[-1]
+    # the widest per-token arrays are positions (G columns) and a segment's cells (3)
     check_array_budget(total * max(scheme.group_count, 3), f"a layout of {total} tokens")
-    positions = np.empty((total, scheme.group_count), dtype=np.int64)
+    firsts = np.empty((len(segments), scheme.group_count), dtype=np.int64)
+    steps = np.zeros((len(segments), 3, scheme.group_count), dtype=np.int64)
+    counts = np.ones((len(segments), 3), dtype=np.int64)
     start = text_position(0, scheme)
-    for segment, rows in zip(segments, slices):
+    for i, segment in enumerate(segments):
         if isinstance(segment, TextSegment):
-            positions[rows] = np.add.outer(np.arange(segment.count, dtype=np.int64), start)
+            firsts[i], steps[i, 0], counts[i, 0] = start, 1, segment.count
             start = tuple(v + segment.count for v in start)
         else:
             grid = segment.grid
             p = max(start)
-            cells = np.stack(_cell(np.arange(grid.token_count, dtype=np.int64), grid), axis=1)
-            matrix, offsets, _ = video_map(scheme, grid, p)
-            # in place: no (n, G) product or sum is held beside positions
-            np.matmul(cells, matrix, out=positions[rows])
-            positions[rows] += offsets
+            steps[i], firsts[i], _ = video_map(scheme, grid, p)
+            counts[i] = grid.width, grid.height, grid.frames
             start = text_start_after_video(scheme, grid, p)
-    positions.setflags(write=False)
-    return TokenLayout(scheme, segments, positions)
+    for array in (firsts, steps, counts):
+        array.setflags(write=False)
+    return TokenLayout(scheme, segments, firsts, steps, counts)
 
 
 def _cell(offset, grid: VideoGrid):

@@ -54,13 +54,18 @@ def check_head_params(d: int, base: float) -> None:
     Raises:
         DimensionError: if ``d`` is odd or smaller than 2.
         ParameterError: if ``base`` is not finite or not strictly positive,
-            or ``d/2`` exceeds the array budget.
+            if the largest frequency ``base ** (-(d-2)/d)`` is not finite
+            (a tiny base), or if ``d/2`` exceeds the array budget.
     """
     if d < 2 or d % 2 != 0:
         raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
     check_array_budget(d // 2, f"head dimension d={d}")
     if not (math.isfinite(base) and base > 0):
         raise ParameterError(f"base must be finite and > 0, got {base}")
+    try:
+        float(base) ** (-(d - 2) / d)  # the largest theta; a float power raises, not returns inf
+    except OverflowError:
+        raise ParameterError(f"base {base} too small for d={d}: base**(-(d-2)/d) overflows") from None
 
 
 def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:
@@ -68,7 +73,7 @@ def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:
 
     Raises:
         DimensionError: if ``d`` is odd or smaller than 2.
-        ParameterError: if ``base`` is not finite or not strictly positive.
+        ParameterError: if ``base`` is rejected by :func:`check_head_params`.
     """
     check_head_params(d, base)
     j = np.arange(d // 2, dtype=np.float64)

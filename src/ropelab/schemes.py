@@ -179,33 +179,13 @@ def symmetric_indices(coord: TokenCoordinate) -> SymmetricIndices:
     return SymmetricIndices(w + h, w - h, -w - h, -w + h)
 
 
-def center_align(u: SymmetricIndices, grid: VideoGrid, p_start: int) -> PositionVector:
-    """Shift the four diagonal indices so the frame center sits at ``p_start``-aligned isotropy.
-
-    After the shift, the center cell of an odd-sized frame has all four
-    values equal, matching how text positions look to the rotary kernel.
-    """
-    height, width = grid.height, grid.width
-    return (
-        u.u1 + p_start,
-        u.u2 + height - 1 + p_start,
-        u.u3 + height + width - 2 + p_start,
-        u.u4 + width - 1 + p_start,
-    )
-
-
-def temporal_offset(v: PositionVector, t: int, grid: VideoGrid) -> PositionVector:
-    """Advance a frame-0 position vector to frame ``t`` by ``t * (H + W - 1)`` per dim."""
-    if not 0 <= t < grid.frames:
-        raise CoordinateError(f"frame index {t} outside [0, {grid.frames - 1}]")
-    step = t * (grid.height + grid.width - 1)
-    return tuple(x + step for x in v)
-
-
 def vrope_position(coord: TokenCoordinate, grid: VideoGrid, p_start: int) -> PositionVector:
-    """Center-aligned, temporally advanced 4-dim position of a video token."""
-    _check_coordinate(coord, grid)
-    return temporal_offset(center_align(symmetric_indices(coord), grid, p_start), coord.t, grid)
+    """vrope's 4-dim position of a video token: :func:`scheme_position` under vrope.
+
+    The symmetric diagonals, center-aligned per frame and advanced by
+    ``H + W - 1`` per frame; the map's rows and offsets live in ``_RULES``.
+    """
+    return scheme_position(SchemeConfig("vrope"), coord, grid, p_start)
 
 
 def video_map(

@@ -35,7 +35,7 @@ from .schemes import (
     VideoGrid,
     rotate_with_scheme,
     symmetric_indices,
-    vrope_position,
+    video_positions,
 )
 
 
@@ -118,28 +118,22 @@ def _all_small_grids():
 
 
 def check_vrope_structure() -> None:
+    config = SchemeConfig("vrope", d=8)
     for grid in _all_small_grids():
         width, height = grid.width, grid.height
         step = height + width - 1
+        t, h, w = np.indices((grid.frames, height, width))
         for p_start in (0, 7):
-            for t in range(grid.frames):
-                lo = p_start + t * step
-                hi = lo + height + width - 2
-                for h in range(height):
-                    for w in range(width):
-                        v = vrope_position(TokenCoordinate(w, h, t), grid, p_start)
-                        assert sum(v) == 4 * p_start + 2 * (height + width - 2) + 4 * t * step
-                        assert all(lo <= x <= hi for x in v)
-                        mirrored = vrope_position(
-                            TokenCoordinate(width - 1 - w, height - 1 - h, t), grid, p_start
-                        )
-                        assert mirrored == (v[2], v[3], v[0], v[1])
-                if width % 2 == 1 and height % 2 == 1:
-                    center = vrope_position(
-                        TokenCoordinate((width - 1) // 2, (height - 1) // 2, t), grid, p_start
-                    )
-                    expected = p_start + (width + height - 2) // 2 + t * step
-                    assert center == (expected,) * 4
+            v = video_positions(config, w, h, t, grid, p_start)  # (T, H, W, 4)
+            lo = p_start + t[..., None] * step
+            assert np.all(v.sum(axis=-1) == 4 * p_start + 2 * (height + width - 2) + 4 * t * step)
+            assert np.all((lo <= v) & (v <= lo + height + width - 2))
+            # the cell mirrored through the frame center swaps the diagonal pairs
+            assert np.array_equal(v[:, ::-1, ::-1], v[..., [2, 3, 0, 1]])
+            if width % 2 == 1 and height % 2 == 1:
+                center = v[:, (height - 1) // 2, (width - 1) // 2]
+                expected = p_start + (width + height - 2) // 2 + np.arange(grid.frames) * step
+                assert np.all(center == expected[:, None])
 
 
 def check_vrope_boundary_gap() -> None:

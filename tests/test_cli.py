@@ -231,6 +231,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
+    # base**(-(d-2)/d), the largest frequency, overflows: every score would be nan
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heatmap", "--scheme", "rope1d", "--video", "2x2x1", "--base", "1e-320"],
+            ["decay", "--max-delta", "2", "--base", "1e-320"],
+            ["boundary", "--scheme", "rope3d", "--video", "2x2x2", "--base", "1e-320"],
+        ],
+    )
+    def test_tiny_base_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "too small" in captured.err
+
+    def test_tiny_base_with_one_pair_is_fine(self, capsys):
+        assert main(["decay", "--max-delta", "2", "--d", "2", "--base", "1e-320"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,1.000000"
+
     def test_non_ascii_layout_digit_exits_2(self, capsys):
         rc = main(["positions", "--scheme", "rope1d", "--layout", "text:\uff13"])
         assert rc == 2

@@ -263,3 +263,29 @@ def test_arrays_are_read_only():
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig("vrope", d=8))
     assert not layout.positions.flags.writeable
     assert layout.positions.dtype == np.int64 and layout.positions.shape == (48, 4)
+    for grids in (layout.firsts, layout.steps, layout.counts):
+        assert not grids.flags.writeable and grids.dtype == np.int64
+    segments = len(layout.segments)
+    assert layout.firsts.shape == (segments, 4) and layout.steps.shape == (segments, 3, 4)
+    assert layout.counts.shape == (segments, 3)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_positions_are_filled_only_when_read(scheme):
+    layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=8))
+    assert len(layout.tokens) == 48
+    boundary_score_table(layout)
+    assert "positions" not in layout.__dict__
+    assert layout.positions is layout.positions  # filled once, then cached
+    assert "positions" in layout.__dict__
+
+
+def test_layouts_compare_by_scheme_and_segments():
+    segments = parse_layout_spec(SPEC)
+    config = SchemeConfig("vrope", d=8)
+    filled, lazy = build_layout(segments, config), build_layout(list(segments), config)
+    filled.positions
+    assert filled == lazy and lazy == filled
+    assert filled != build_layout(segments, SchemeConfig("vrope", d=16))
+    assert filled != build_layout(segments[:-1], config)
+    assert filled != segments

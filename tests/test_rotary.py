@@ -53,6 +53,21 @@ class TestFrequencySchedule:
         assert schedule.theta[0] == 1.0
         assert schedule.theta[1] > 1.0
 
+    @pytest.mark.parametrize("base,d", [(1e-320, 64), (5e-324, 64), (1e-318, 128)])
+    def test_base_whose_largest_theta_overflows(self, base, d):
+        with pytest.raises(ParameterError, match="too small"):
+            build_frequency_schedule(base, d)
+
+    @given(base=st.floats(min_value=5e-324, max_value=1.0), d=st.integers(1, 64).map(lambda n: 2 * n))
+    def test_accepted_base_gives_finite_theta(self, base, d):
+        try:
+            schedule = build_frequency_schedule(base, d)
+        except ParameterError:
+            # rejected only when the largest theta is past float64's maximum, e**709.78
+            assert -math.log(base) * (d - 2) / d > 709
+            return
+        assert np.all(np.isfinite(schedule.theta))
+
 
 class TestRotate:
     def test_quarter_turn(self):

@@ -14,13 +14,11 @@ from ropelab import (
     SchemeConfig,
     TokenCoordinate,
     VideoGrid,
-    center_align,
     group_allocation,
     pair_positions,
     rotate_with_scheme,
     scheme_position,
     symmetric_indices,
-    temporal_offset,
     text_position,
     vrope_position,
 )
@@ -57,45 +55,24 @@ class TestSymmetricIndices:
             assert symmetric_indices(TokenCoordinate(0, h, 0)) == (h, -h, -h, h)
 
 
-class TestCenterAlign:
-    def test_center_is_isotropic(self):
-        grid = VideoGrid(3, 3, 1)
-        u = symmetric_indices(TokenCoordinate(1, 1, 0))
-        assert center_align(u, grid, 0) == (2, 2, 2, 2)
-
-    def test_corner(self):
-        grid = VideoGrid(3, 3, 1)
-        u = symmetric_indices(TokenCoordinate(0, 0, 0))
-        assert center_align(u, grid, 0) == (0, 2, 4, 2)
-
-    def test_with_offset(self):
-        grid = VideoGrid(3, 3, 1)
-        u = symmetric_indices(TokenCoordinate(2, 2, 0))
-        assert center_align(u, grid, 10) == (14, 12, 10, 12)
-
-
-class TestTemporalOffset:
-    def test_one_frame_step(self):
-        grid = VideoGrid(3, 3, 2)
-        assert temporal_offset((2, 2, 2, 2), 1, grid) == (7, 7, 7, 7)
-
-    def test_zero_is_identity(self):
-        grid = VideoGrid(3, 3, 2)
-        assert temporal_offset((0, 2, 4, 2), 0, grid) == (0, 2, 4, 2)
-
-    def test_two_frame_steps(self):
-        grid = VideoGrid(3, 3, 3)
-        assert temporal_offset((0, 2, 4, 2), 2, grid) == (10, 12, 14, 12)
-
-    def test_out_of_range(self):
-        grid = VideoGrid(3, 3, 2)
-        with pytest.raises(CoordinateError):
-            temporal_offset((0, 0, 0, 0), 2, grid)
-        with pytest.raises(CoordinateError):
-            temporal_offset((0, 0, 0, 0), -1, grid)
-
-
 class TestVropePosition:
+    # (w, h, t), grid size, p_start, expected: the center is isotropic, the
+    # corners span the frame's range, and each frame advances every dim by H + W - 1
+    # (one frame's step is test_center_of_second_frame)
+    @pytest.mark.parametrize(
+        "cell,size,p_start,expected",
+        [
+            ((1, 1, 0), (3, 3, 1), 0, (2, 2, 2, 2)),
+            ((0, 0, 0), (3, 3, 1), 0, (0, 2, 4, 2)),
+            ((2, 2, 0), (3, 3, 1), 10, (14, 12, 10, 12)),
+            ((0, 0, 0), (3, 3, 2), 0, (0, 2, 4, 2)),
+            ((0, 0, 2), (3, 3, 3), 0, (10, 12, 14, 12)),
+        ],
+        ids=["center_is_isotropic", "corner", "with_offset", "frame_zero", "two_frame_steps"],
+    )
+    def test_expected_vectors(self, cell, size, p_start, expected):
+        assert vrope_position(TokenCoordinate(*cell), VideoGrid(*size), p_start) == expected
+
     def test_small_grid_with_offset(self):
         grid = VideoGrid(2, 2, 1)
         assert vrope_position(TokenCoordinate(1, 0, 0), grid, 2) == (3, 4, 3, 2)
@@ -108,6 +85,11 @@ class TestVropePosition:
         grid = VideoGrid(2, 2, 1)
         with pytest.raises(CoordinateError):
             vrope_position(TokenCoordinate(2, 0, 0), grid, 0)
+
+    @pytest.mark.parametrize("t", [2, -1])
+    def test_frame_out_of_range(self, t):
+        with pytest.raises(CoordinateError):
+            vrope_position(TokenCoordinate(0, 0, t), VideoGrid(3, 3, 2), 0)
 
     @settings(max_examples=200)
     @given(
