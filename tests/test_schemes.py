@@ -58,7 +58,6 @@ class TestSymmetricIndices:
 class TestVropePosition:
     # (w, h, t), grid size, p_start, expected: the center is isotropic, the
     # corners span the frame's range, and each frame advances every dim by H + W - 1
-    # (one frame's step is test_center_of_second_frame)
     @pytest.mark.parametrize(
         "cell,size,p_start,expected",
         [
@@ -66,9 +65,17 @@ class TestVropePosition:
             ((0, 0, 0), (3, 3, 1), 0, (0, 2, 4, 2)),
             ((2, 2, 0), (3, 3, 1), 10, (14, 12, 10, 12)),
             ((0, 0, 0), (3, 3, 2), 0, (0, 2, 4, 2)),
+            ((0, 0, 1), (3, 3, 2), 0, (5, 7, 9, 7)),
             ((0, 0, 2), (3, 3, 3), 0, (10, 12, 14, 12)),
         ],
-        ids=["center_is_isotropic", "corner", "with_offset", "frame_zero", "two_frame_steps"],
+        ids=[
+            "center_is_isotropic",
+            "corner",
+            "with_offset",
+            "frame_zero",
+            "one_frame_step",
+            "two_frame_steps",
+        ],
     )
     def test_expected_vectors(self, cell, size, p_start, expected):
         assert vrope_position(TokenCoordinate(*cell), VideoGrid(*size), p_start) == expected
