@@ -18,10 +18,12 @@ flip a 6th decimal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvblock import format_block
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
@@ -40,8 +42,10 @@ from .schemes import (
     video_positions,
 )
 
-# delta rows per block in decay_curve
+# delta rows per block in decay_curve and decay_csv
 DECAY_CHUNK_ROWS = 8192
+# cells per block in heatmap_csv
+HEATMAP_CHUNK_ROWS = 8192
 # rotated-key elements per block of Monte-Carlo trials (2 MiB of float64)
 MC_CHUNK_ELEMENTS = 2**18
 
@@ -68,11 +72,25 @@ class ScoreGrid:
     frame: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCurve:
-    """Expected self-score as a function of a uniform per-pair offset."""
+    """Expected self-score as a function of a uniform per-pair offset.
 
-    points: tuple[tuple[int, float], ...]
+    ``values[delta]`` is the score at offset ``delta`` (read-only float64);
+    two curves are equal when their values are, element by element.
+    """
+
+    values: np.ndarray
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[int, float], ...]:
+        """``(delta, value)`` for every offset, in order, built on first read."""
+        return tuple(enumerate(self.values.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, DecayCurve):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -278,7 +296,8 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
         values[start : start + len(deltas)] = expected_self_score(
             np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
         )
-    return DecayCurve(points=tuple(enumerate(values.tolist())))
+    values.setflags(write=False)
+    return DecayCurve(values)
 
 
 def boundary_score_table(
@@ -305,7 +324,7 @@ def boundary_score_table(
     boundaries = video_text_boundaries(layout.segments)
     if not boundaries:
         return ()
-    query = boundaries[0][0] + 1  # the text segment after the first video-to-text boundary
+    query = boundaries[0] + 1  # the text segment after the first video-to-text boundary
     counts = layout.counts[:query]
     keys = counts.prod(axis=1)
     alloc, theta = group_allocation(config), schedule.theta
@@ -331,35 +350,41 @@ def boundary_score_table(
 
 
 def heatmap_csv(grid: ScoreGrid) -> str:
-    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values."""
-    lines = ["w,h,value"]
-    width, height = grid.values.shape
-    for h in range(height):
-        for w in range(width):
-            lines.append(f"{w},{h},{grid.values[w, h]:.6f}")
-    return "\n".join(lines) + "\n"
+    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values.
+
+    Rows are formatted ``HEATMAP_CHUNK_ROWS`` at a time.
+    """
+    width = grid.values.shape[0]
+    values = grid.values.T.ravel()  # scanline order: h outer, w inner
+    pieces = ["w,h,value\n"]
+    for start in range(0, len(values), HEATMAP_CHUNK_ROWS):
+        stop = min(start + HEATMAP_CHUNK_ROWS, len(values))
+        h, w = np.divmod(np.arange(start, stop), width)
+        columns = [w.tolist(), h.tolist(), values[start:stop].tolist()]
+        pieces.append(format_block("%d,%d,%.6f\n", columns))
+    return "".join(pieces)
 
 
 def decay_csv(curve: DecayCurve) -> str:
     """Decay curve as ``delta,value`` CSV rows, 6-decimal values.
 
-    Rows are joined ``DECAY_CHUNK_ROWS`` at a time, so no more than one
-    block's line strings exist beside the text.
+    Rows are formatted ``DECAY_CHUNK_ROWS`` at a time from ``curve.values``,
+    so no more than one block's Python objects exist beside the text.
     """
-    points = curve.points
+    values = curve.values
     pieces = ["delta,value\n"]
-    for start in range(0, len(points), DECAY_CHUNK_ROWS):
-        block = points[start : start + DECAY_CHUNK_ROWS]
-        pieces.append("".join([f"{delta},{value:.6f}\n" for delta, value in block]))
+    for start in range(0, len(values), DECAY_CHUNK_ROWS):
+        stop = min(start + DECAY_CHUNK_ROWS, len(values))
+        pieces.append(format_block("%d,%.6f\n", [range(start, stop), values[start:stop].tolist()]))
     return "".join(pieces)
 
 
 def boundary_csv(rows) -> str:
     """Boundary score rows as ``scheme,target,mean_score`` CSV, 6-decimal values."""
-    lines = ["scheme,target,mean_score"]
-    for row in rows:
-        lines.append(f"{row.scheme_id},{row.target},{row.mean_score:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = list(rows)
+    columns = [[row.scheme_id for row in rows], [row.target for row in rows]]
+    columns.append([row.mean_score for row in rows])
+    return "scheme,target,mean_score\n" + format_block("%s,%s,%.6f\n", columns)
 
 
 __all__ = [

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvblock import format_block
 from .errors import LayoutParseError, ParameterError
 from .rotary import check_array_budget
 from .schemes import (
@@ -158,8 +159,7 @@ class TokenLayout:
         slices = _segment_slices(self.segments)
         positions = np.empty((slices[-1].stop, self.scheme.group_count), dtype=np.int64)
         for first, steps, counts, rows in zip(self.firsts, self.steps, self.counts.tolist(), slices):
-            # a text run's counts are (n, 1, 1), so its cells are (k, 0, 0)
-            cells = np.stack(_cell(np.arange(rows.stop - rows.start), VideoGrid(*counts)), axis=1)
+            cells = _grid_cells(np.arange(rows.stop - rows.start), counts)
             # in place: no (n, G) product or sum is held beside positions
             np.matmul(cells, steps, out=positions[rows])
             positions[rows] += first
@@ -281,6 +281,14 @@ def _cell(offset, grid: VideoGrid):
     return w, h, t
 
 
+def _grid_cells(offsets: np.ndarray, counts) -> np.ndarray:
+    """(n, 3) cells ``(w, h, t)`` at raster ``offsets`` of a segment's grid of ``counts``.
+
+    A text run's counts are ``(n, 1, 1)``, so its cells are ``(k, 0, 0)``.
+    """
+    return np.stack(_cell(offsets, VideoGrid(*counts)), axis=1)
+
+
 def _segment_starts(segments) -> list[int]:
     """First row of each segment, then the layout's token count."""
     return [0, *itertools.accumulate(segment.token_count for segment in segments)]
@@ -291,15 +299,10 @@ def _segment_slices(segments) -> list[slice]:
     return [slice(start, stop) for start, stop in itertools.pairwise(_segment_starts(segments))]
 
 
-def video_text_boundaries(segments) -> list[tuple[int, slice]]:
-    """``(video segment index, its rows)`` for every video segment followed by text.
-
-    In sequence order; the following text segment's first row is the
-    slice's ``stop``.
-    """
-    slices = _segment_slices(segments)
+def video_text_boundaries(segments) -> list[int]:
+    """Index of every video segment directly followed by a text segment, in sequence order."""
     return [
-        (index, slices[index])
+        index
         for index in range(len(segments) - 1)
         if isinstance(segments[index], VideoSegment)
         and isinstance(segments[index + 1], TextSegment)
@@ -309,15 +312,16 @@ def video_text_boundaries(segments) -> list[tuple[int, slice]]:
 def boundary_gaps(layout: TokenLayout) -> tuple[BoundaryGap, ...]:
     """Per-dim gaps at every video segment directly followed by a text segment.
 
-    Returns an empty tuple when the layout has no such boundary.
+    Returns an empty tuple when the layout has no such boundary. Each dim's
+    maximum over a grid takes every axis with a positive step to its last
+    cell: ``firsts[s] + sum_a (counts[s, a] - 1) * max(steps[s, a], 0)``;
+    ``layout.positions`` is never filled.
     """
+    reach = (layout.counts[:, :, None] - 1) * np.maximum(layout.steps, 0)
+    maxima = layout.firsts + reach.sum(axis=1)
     return tuple(
-        BoundaryGap(
-            index,
-            index + 1,
-            tuple((layout.positions[video.stop] - layout.positions[video].max(axis=0)).tolist()),
-        )
-        for index, video in video_text_boundaries(layout.segments)
+        BoundaryGap(index, index + 1, tuple((layout.firsts[index + 1] - maxima[index]).tolist()))
+        for index in video_text_boundaries(layout.segments)
     )
 
 
@@ -327,25 +331,25 @@ LAYOUT_CSV_HEADER = "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim
 def layout_csv(layout: TokenLayout) -> str:
     """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
 
-    Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, from
-    ``tolist()`` slices of ``positions`` and, on video rows, of the block's cells.
+    Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, each
+    block's cells and positions computed from its segment's grid
+    (``firsts[s] + cells @ steps[s]``); ``layout.positions`` is never filled.
     """
     groups = layout.scheme.group_count
-    dims = ",%d" * groups + "," * (4 - groups)
+    dims = ",%d" * groups + "," * (4 - groups) + "\n"
     pieces = [LAYOUT_CSV_HEADER, "\n"]
-    slices = _segment_slices(layout.segments)
-    for index, (segment, rows) in enumerate(zip(layout.segments, slices)):
+    counts = layout.counts.tolist()
+    for index, (segment, rows) in enumerate(zip(layout.segments, _segment_slices(layout.segments))):
         video = isinstance(segment, VideoSegment)
         row_format = f"%d,video,{index},%d,%d,%d{dims}" if video else f"%d,text,{index},,,{dims}"
         for start in range(rows.start, rows.stop, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, rows.stop)
-            values = [range(start, stop)]
+            cells = _grid_cells(np.arange(start - rows.start, stop - rows.start), counts[index])
+            columns = [range(start, stop)]
             if video:
-                offsets = np.arange(start - rows.start, stop - rows.start)
-                values += [axis.tolist() for axis in _cell(offsets, segment.grid)]
-            values += [layout.positions[start:stop, g].tolist() for g in range(groups)]
-            pieces.append("\n".join([row_format % row for row in zip(*values)]))
-            pieces.append("\n")
+                columns += cells.T.tolist()
+            columns += (cells @ layout.steps[index] + layout.firsts[index]).T.tolist()
+            pieces.append(format_block(row_format, columns))
     return "".join(pieces)
 
 

@@ -54,8 +54,10 @@ def check_head_params(d: int, base: float) -> None:
     Raises:
         DimensionError: if ``d`` is odd or smaller than 2.
         ParameterError: if ``base`` is not finite or not strictly positive,
-            if the largest frequency ``base ** (-(d-2)/d)`` is not finite
-            (a tiny base), or if ``d/2`` exceeds the array budget.
+            if the largest frequency ``base ** (-(d-2)/d)`` times ``2**54``
+            is not finite (a tiny base), or if ``d/2`` exceeds the array
+            budget. Positions lie within 2**53 either side of 0, so every
+            angle ``delta * theta`` of an admitted base is finite.
     """
     if d < 2 or d % 2 != 0:
         raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
@@ -63,9 +65,13 @@ def check_head_params(d: int, base: float) -> None:
     if not (math.isfinite(base) and base > 0):
         raise ParameterError(f"base must be finite and > 0, got {base}")
     try:
-        float(base) ** (-(d - 2) / d)  # the largest theta; a float power raises, not returns inf
+        # the largest theta times the largest position delta, 2**54; a float
+        # power and ldexp raise on overflow, where numpy would return inf
+        math.ldexp(float(base) ** (-(d - 2) / d), 54)
     except OverflowError:
-        raise ParameterError(f"base {base} too small for d={d}: base**(-(d-2)/d) overflows") from None
+        raise ParameterError(
+            f"base {base} too small for d={d}: base**(-(d-2)/d) * 2**54 overflows"
+        ) from None
 
 
 def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:

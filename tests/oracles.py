@@ -7,6 +7,7 @@ cross-check the two paths against each other.
 """
 
 import cmath
+import itertools
 
 import numpy as np
 
@@ -105,3 +106,13 @@ def monte_carlo_heatmap_ref(q_angles, k_angles, seed, trials, d):
         rk_odd = even * k_sin + odd * k_cos
         acc += (rq_even * rk_even + rq_odd * rk_odd).sum(axis=2) / d
     return acc / trials
+
+
+def first_line_difference(got: str, expected: str):
+    """``None`` if the texts are equal, else the first differing line as
+    ``(line number, got line, expected line)``, 1-based, with ``None`` past
+    a text's end. Assert on this rather than on ``got == expected``: pytest's
+    diff of two long texts can take minutes.
+    """
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), expected.splitlines(keepends=True))
+    return next(((n, *pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1]), None)

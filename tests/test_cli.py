@@ -231,13 +231,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
-    # base**(-(d-2)/d), the largest frequency, overflows: every score would be nan
+    # base**(-(d-2)/d), the largest frequency, overflows: every score would be nan;
+    # in the last case only its product with a 2**54 position delta overflows
     @pytest.mark.parametrize(
         "argv",
         [
             ["heatmap", "--scheme", "rope1d", "--video", "2x2x1", "--base", "1e-320"],
             ["decay", "--max-delta", "2", "--base", "1e-320"],
             ["boundary", "--scheme", "rope3d", "--video", "2x2x2", "--base", "1e-320"],
+            [
+                "heatmap", "--scheme", "rope_share", "--video", "1x1x1000000000000000",
+                "--frame", "0", "--base", "1e-305", "--d", "64",
+            ],
         ],
     )
     def test_tiny_base_exits_2(self, argv, capsys):

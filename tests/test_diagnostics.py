@@ -40,6 +40,7 @@ from ropelab.schemes import text_start_after_video
 
 from oracles import (
     expected_score_ref,
+    first_line_difference,
     monte_carlo_heatmap_ref,
     vrope_alloc_ref,
     vrope_position_ref,
@@ -170,6 +171,15 @@ class TestDecayCurve:
         for rows in (1, 7, 1000, 1001):
             monkeypatch.setattr(diagnostics, "DECAY_CHUNK_ROWS", rows)
             assert decay_curve(schedule, 1000) == whole
+
+    def test_values_are_read_only_and_points_follow_them(self):
+        curve = decay_curve(build_frequency_schedule(10000.0, 8), 32)
+        assert curve.values.dtype == np.float64 and not curve.values.flags.writeable
+        assert "points" not in curve.__dict__
+        assert curve.points == tuple(enumerate(curve.values.tolist()))
+        assert curve.points is curve.points  # built once, then cached
+        assert curve != decay_curve(build_frequency_schedule(10000.0, 8), 31)
+        assert curve != decay_curve(build_frequency_schedule(100.0, 8), 32)
 
 
 class TestBoundaryScoreTable:
@@ -413,6 +423,23 @@ class TestCsvFormats:
         assert lines[1].startswith("0,0,") and lines[2].startswith("1,0,")
         value = lines[1].split(",")[2]
         assert len(value.split(".")[1]) == 6
+
+    @pytest.mark.parametrize("rows", [1, 7, 8192])
+    def test_heatmap_csv_matches_per_row_reference(self, rows, monkeypatch):
+        config = SchemeConfig("rope3d", d=8)
+        grid = heatmap(config, VideoGrid(5, 3, 1), 0, (4, 4, 4))
+        expected = "w,h,value\n" + "".join(
+            f"{w},{h},{grid.values[w, h]:.6f}\n" for h in range(3) for w in range(5)
+        )
+        monkeypatch.setattr(diagnostics, "HEATMAP_CHUNK_ROWS", rows)
+        assert heatmap_csv(grid) == expected
+
+    @pytest.mark.parametrize("rows", [1, 7, 1001])
+    def test_decay_csv_block_size_does_not_change_bytes(self, rows, monkeypatch):
+        curve = decay_curve(build_frequency_schedule(10000.0, 64), 1000)
+        lines = [f"{delta},{value:.6f}\n" for delta, value in curve.points]
+        monkeypatch.setattr(diagnostics, "DECAY_CHUNK_ROWS", rows)
+        assert first_line_difference(decay_csv(curve), "delta,value\n" + "".join(lines)) is None
 
     def test_decay_csv_frozen(self):
         curve = decay_curve(build_frequency_schedule(10000.0, 2), 3)

@@ -33,7 +33,7 @@ from ropelab import (
 )
 from ropelab import layout as layout_module
 
-from oracles import scheme_position_ref
+from oracles import first_line_difference, scheme_position_ref
 
 
 def reference_tokens(segments, config):
@@ -259,6 +259,32 @@ def test_row_chunk_size_does_not_change_csv_or_tokens(scheme, monkeypatch):
     assert tuple(layout.tokens) == tokens == reference_tokens(layout.segments, layout.scheme)
 
 
+def reference_csv(tokens) -> str:
+    """The layout CSV of ``tokens``, one row at a time, with no ``%`` formatting."""
+    lines = ["token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim3"]
+    for index, token in enumerate(tokens):
+        coord = token.coord
+        cells = ["", "", ""] if coord is None else [str(coord.w), str(coord.h), str(coord.t)]
+        dims = [str(v) for v in token.position] + [""] * (4 - len(token.position))
+        lines.append(",".join([str(index), token.modality, str(token.segment_index), *cells, *dims]))
+    return "\n".join(lines) + "\n"
+
+
+# a text run and two videos longer than one 4096-row block, so both kinds of
+# segment straddle a block edge at every block size tested
+LONG_SPEC = "text:4100,video:3x2x2,text:2,video:64x8x9,text:1,video:4099x1x1"
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_csv_matches_per_row_reference_at_any_block_size(scheme, monkeypatch):
+    segments = parse_layout_spec(LONG_SPEC)
+    config = SchemeConfig(scheme, d=16)
+    expected = reference_csv(reference_tokens(segments, config))
+    for rows in (1, 7, 4096):
+        monkeypatch.setattr(layout_module, "_CHUNK_ROWS", rows)
+        assert first_line_difference(layout_csv(build_layout(segments, config)), expected) is None
+
+
 def test_arrays_are_read_only():
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig("vrope", d=8))
     assert not layout.positions.flags.writeable
@@ -275,6 +301,8 @@ def test_positions_are_filled_only_when_read(scheme):
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=8))
     assert len(layout.tokens) == 48
     boundary_score_table(layout)
+    layout_csv(layout)
+    boundary_gaps(layout)
     assert "positions" not in layout.__dict__
     assert layout.positions is layout.positions  # filled once, then cached
     assert "positions" in layout.__dict__

@@ -63,8 +63,8 @@ class TestFrequencySchedule:
         try:
             schedule = build_frequency_schedule(base, d)
         except ParameterError:
-            # rejected only when the largest theta is past float64's maximum, e**709.78
-            assert -math.log(base) * (d - 2) / d > 709
+            # rejected only when the largest theta times 2**54 is past float64's maximum, e**709.78
+            assert -math.log(base) * (d - 2) / d + 54 * math.log(2) > 709
             return
         assert np.all(np.isfinite(schedule.theta))
 
