@@ -7,13 +7,18 @@ offset, normalized to 1 at zero offset. A Monte-Carlo variant estimates
 the same quantity through the actual rotation path; trial ``r`` draws
 ``standard_normal(d)`` from numpy's PCG64 seeded by
 ``SeedSequence([seed, r])``, so each trial's vector does not depend on
-evaluation order or parallelism. The seeding runs in bulk, for a block of
+evaluation order or parallelism. The seeding runs in bulk, for a draw of
 trials at once (:func:`_trial_normals`), and gives exactly the vectors of
 ``default_rng(SeedSequence([seed, r]))``; a test holds it to numpy's own
-seeding. Trials are summed in fixed-size blocks, so the output is fixed
-for a given version, seed and trial count; a version that changes the
-blocking or the summation order may differ in the last bits, which can
-flip a 6th decimal.
+seeding. The trial loop has two levels. A draw holds the normals of a
+whole number of key blocks, at most ``MC_CHUNK_ELEMENTS`` = 2**16 values
+(1024 trials at d=64), because each draw has a fixed cost whatever its
+size. A key block of those trials is rotated and summed, with at most
+``MC_CHUNK_ELEMENTS`` rotated keys (one trial's, where those are more). The
+output is fixed for a given version, seed and trial count; a version that
+changes the key blocks or the summation order may differ in the last
+bits, which can flip a 6th decimal. How trials are grouped into draws
+does not change the sums.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ from .schemes import (
 DECAY_CHUNK_ROWS = 8192
 # cells per block in heatmap_csv
 HEATMAP_CHUNK_ROWS = 8192
-# rotated-key elements per block of Monte-Carlo trials (2 MiB of float64)
-MC_CHUNK_ELEMENTS = 2**18
+# rotated-key elements per key block of Monte-Carlo trials, and normals per
+# draw (512 KiB of float64 each)
+MC_CHUNK_ELEMENTS = 2**16
 
 _MASK32 = 2**32 - 1
 _MASK128 = 2**128 - 1
@@ -171,8 +177,15 @@ def monte_carlo_heatmap(
     Each trial draws one random vector from its ``(seed, trial)`` substream,
     rotates it with :func:`rotate` at the query's and every cell's offset
     from the frame's cell ``(0, 0)``, and averages the dot products scaled
-    by ``1/d``. Trials run in blocks of ``MC_CHUNK_ELEMENTS // (W*H*d)`` (at
-    least one), so memory stays bounded by the block, not by the trial count.
+    by ``1/d``. Trials are rotated and summed in key blocks of
+    ``chunk = max(1, MC_CHUNK_ELEMENTS // (W*H*d))`` trials, and their normals
+    are drawn ``chunk * max(1, MC_CHUNK_ELEMENTS // (chunk*d))`` trials at a
+    time, a whole number of blocks. With ``MC_CHUNK_ELEMENTS`` = 2**16, an
+    8x8 frame at ``d=64`` has 16-trial blocks and 1024-trial draws, so 10k
+    trials take 10 draws; neither a draw nor a block's rotated keys holds
+    more than 2**16 values (512 KiB), or one trial's keys where those are
+    more. Memory stays bounded by the block, not by the trial count, and
+    the sums are those of the blocks alone.
 
     Raises:
         ParameterError: if one trial's rotated keys (``W*H*d`` values)
@@ -196,15 +209,19 @@ def monte_carlo_heatmap(
     # one trial's rotated keys hold W*H*d values, twice the frame's angle array
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
     chunk = max(1, MC_CHUNK_ELEMENTS // (cells * d))
+    # a draw is a whole number of key blocks; each _trial_normals call has a fixed cost
+    draw = chunk * max(1, MC_CHUNK_ELEMENTS // (chunk * d))
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
-    # one generator for every block: its state is set per trial, so its own seed is never drawn
+    # one generator for every draw: its state is set per trial, so its own seed is never drawn
     generator = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, trials, chunk):
-        x = _trial_normals(generator, seed, start, min(start + chunk, trials), d)
-        rq = rotate(x, q_angles)
-        rk = rotate(x[:, None, None, :], k_angles)
-        acc += np.einsum("nwhd,nd->wh", rk, rq) / d
+    for first in range(0, trials, draw):
+        normals = _trial_normals(generator, seed, first, min(first + draw, trials), d)
+        for start in range(0, len(normals), chunk):
+            x = normals[start : start + chunk]
+            rq = rotate(x, q_angles)
+            rk = rotate(x[:, None, None, :], k_angles)
+            acc += np.einsum("nwhd,nd->wh", rk, rq) / d
     return ScoreGrid(
         values=acc / trials, scheme=config, query=tuple(query), frame=frame
     )

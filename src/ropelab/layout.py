@@ -27,6 +27,7 @@ from .csvblock import format_block
 from .errors import LayoutParseError, ParameterError
 from .rotary import check_array_budget
 from .schemes import (
+    MAX_POSITION,
     PositionVector,
     SchemeConfig,
     TokenCoordinate,
@@ -155,8 +156,11 @@ class TokenLayout:
 
         Video tokens appear in raster order (frame outer, then row, then
         column); text positions increase by one per token within a segment.
+        Raises ParameterError if tokens times ``max(G, 3)`` exceeds the
+        element budget.
         """
         slices = _segment_slices(self.segments)
+        _check_layout_budget(self)
         positions = np.empty((slices[-1].stop, self.scheme.group_count), dtype=np.int64)
         for first, steps, counts, rows in zip(self.firsts, self.steps, self.counts.tolist(), slices):
             cells = _grid_cells(np.arange(rows.stop - rows.start), counts)
@@ -248,13 +252,19 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     largest dim, takes the rows of the scheme's :func:`~ropelab.schemes.video_map`
     as its w, h and t steps, and moves it to
     :func:`~ropelab.schemes.text_start_after_video`.
+
+    Nothing per token is allocated here, so the element budget is checked
+    where per-token arrays are filled (:attr:`TokenLayout.positions`,
+    :func:`layout_csv`); a layout of more than 2**53 tokens raises
+    ParameterError.
     """
     segments = tuple(segments)
     if not segments:
         raise ParameterError("segment list is empty")
     total = _segment_starts(segments)[-1]
-    # the widest per-token arrays are positions (G columns) and a segment's cells (3)
-    check_array_budget(total * max(scheme.group_count, 3), f"a layout of {total} tokens")
+    # counts, their products and token indices stay exact in int64 and float64
+    if total > MAX_POSITION:
+        raise ParameterError(f"a layout of {total} tokens is over the budget of 2**53 tokens")
     firsts = np.empty((len(segments), scheme.group_count), dtype=np.int64)
     steps = np.zeros((len(segments), 3, scheme.group_count), dtype=np.int64)
     counts = np.ones((len(segments), 3), dtype=np.int64)
@@ -272,6 +282,13 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     for array in (firsts, steps, counts):
         array.setflags(write=False)
     return TokenLayout(scheme, segments, firsts, steps, counts)
+
+
+def _check_layout_budget(layout: TokenLayout) -> None:
+    """Raise ParameterError if the layout's per-token arrays would exceed the element budget."""
+    total = _segment_starts(layout.segments)[-1]
+    # the widest per-token arrays are positions (G columns) and a segment's cells (3)
+    check_array_budget(total * max(layout.scheme.group_count, 3), f"a layout of {total} tokens")
 
 
 def _cell(offset, grid: VideoGrid):
@@ -334,7 +351,9 @@ def layout_csv(layout: TokenLayout) -> str:
     Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, each
     block's cells and positions computed from its segment's grid
     (``firsts[s] + cells @ steps[s]``); ``layout.positions`` is never filled.
+    The text grows with the tokens, so it takes the budget of ``positions``.
     """
+    _check_layout_budget(layout)
     groups = layout.scheme.group_count
     dims = ",%d" * groups + "," * (4 - groups) + "\n"
     pieces = [LAYOUT_CSV_HEADER, "\n"]

@@ -289,7 +289,7 @@ class TestExitCodes:
             ["heatmap", "--scheme", "vrope", "--video", "100000x100000x1"],
             ["decay", "--max-delta", "2", "--d", "100000000000"],
             ["decay", "--max-delta", "100000000000"],
-            ["boundary", "--scheme", "rope3d", "--video", "100000x100000x10"],
+            ["positions", "--scheme", "rope3d", "--layout", "video:100000x100000x10"],
             # positions past 2**53, where int64 wraps and float64 is no longer exact
             ["heatmap", "--scheme", "rope1d", "--video", "8x8x1000000000000000000",
              "--frame", "999999999999999999", "--d", "8"],
@@ -301,6 +301,18 @@ class TestExitCodes:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "budget" in captured.err
+
+    # the boundary table reads the segments' grids, so no per-token array is
+    # filled and the element budget does not apply
+    @pytest.mark.parametrize(
+        "scheme,video", [("vrope", "24x24x100000"), ("rope3d", "100000x100000x10")]
+    )
+    def test_boundary_past_element_budget_exits_0(self, scheme, video, capsys):
+        assert main(["boundary", "--scheme", scheme, "--video", video]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[scheme, "video"], [scheme, "text"]]
+        scores = np.array([float(row.split(",")[2]) for row in rows])
+        assert np.all(np.isfinite(scores)) and np.all(np.abs(scores) <= 1)
 
     # past 2**53 the float64 deltas from the query to the cells round to one value
     @pytest.mark.parametrize("mode", [[], ["--mc", "--trials", "10"]])

@@ -245,6 +245,12 @@ class TestBoundaryScoreTable:
         ]
 
 
+def _mc_blocks(cells: int, d: int) -> tuple[int, int]:
+    """Trials per key block and per draw of monte_carlo_heatmap over ``cells`` cells."""
+    chunk = max(1, diagnostics.MC_CHUNK_ELEMENTS // (cells * d))
+    return chunk, chunk * max(1, diagnostics.MC_CHUNK_ELEMENTS // (chunk * d))
+
+
 class TestMonteCarloHeatmap:
     def test_agrees_with_closed_form(self):
         config = SchemeConfig("vrope", d=64)
@@ -304,14 +310,20 @@ class TestMonteCarloHeatmap:
         with pytest.raises(ParameterError):
             TrialConfig(seed=0, trials=1, d=8, base=base)
 
-    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1, "past_draw"])
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_matches_per_trial_reference(self, scheme, offset):
-        # 8x8 frame, d=64: one block holds MC_CHUNK_ELEMENTS // 4096 trials
+        # 8x8 frame, d=64: one block holds MC_CHUNK_ELEMENTS // 4096 trials;
+        # "past_draw" spans two draws and ends 5 trials into a block
         config = SchemeConfig(scheme, d=64)
         video = VideoGrid(8, 8, 2)
-        chunk = diagnostics.MC_CHUNK_ELEMENTS // (video.tokens_per_frame * 64)
-        trials = 1 if offset is None else chunk + offset
+        chunk, draw = _mc_blocks(video.tokens_per_frame, 64)
+        if offset is None:
+            trials = 1
+        elif offset == "past_draw":
+            trials = draw + chunk + 5
+        else:
+            trials = chunk + offset
         query = build_layout([VideoSegment(video), TextSegment(1)], config).tokens[-1].position
         got = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=3, trials=trials))
         schedule = config.schedule()
@@ -324,13 +336,23 @@ class TestMonteCarloHeatmap:
         expected = monte_carlo_heatmap_ref(q_angles, k_angles, 3, trials, 64)
         assert np.max(np.abs(got.values - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("seed", [7, 2**32, 2**64 - 1])
-    def test_bit_identical_to_per_trial_generators(self, seed):
+    # one draw of 2 blocks and 5 trials, or two draws, the second ending 5 trials into a block
+    @pytest.mark.parametrize(
+        "seed,draws",
+        [
+            pytest.param(7, 1, id="7"),
+            pytest.param(2**32, 1, id="4294967296"),
+            pytest.param(2**64 - 1, 1, id="18446744073709551615"),
+            pytest.param(7, 2, id="7-two_draws"),
+            pytest.param(2**64 - 1, 2, id="18446744073709551615-two_draws"),
+        ],
+    )
+    def test_bit_identical_to_per_trial_generators(self, seed, draws):
         # the same blocks, rotate calls and einsum, with one default_rng per trial
         config = SchemeConfig("vrope", d=64)
         video = VideoGrid(8, 8, 2)
-        chunk = diagnostics.MC_CHUNK_ELEMENTS // (video.tokens_per_frame * 64)
-        trials = 2 * chunk + 5
+        chunk, draw = _mc_blocks(video.tokens_per_frame, 64)
+        trials = 2 * chunk + 5 if draws == 1 else draw + chunk + 5
         query = build_layout([VideoSegment(video), TextSegment(1)], config).tokens[-1].position
         got = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=seed, trials=trials))
         schedule = config.schedule()
@@ -360,6 +382,37 @@ class TestMonteCarloHeatmap:
                 config, video, 1, (9,) * config.group_count, trial_config
             )
             assert np.max(np.abs(chunked.values - whole.values)) <= 1e-12
+
+    # the shipped blocks; a draw of one block; one trial's keys (8*8*64) over the block
+    @pytest.mark.parametrize("elements,width,d", [(None, 8, 64), (2**8, 1, 2), (2**10, 8, 64)])
+    def test_working_set_bounded_by_block(self, elements, width, d, monkeypatch):
+        if elements is not None:
+            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
+        limit = max(diagnostics.MC_CHUNK_ELEMENTS, width * width * d)
+        sizes = {"rotate": [], "draw": []}
+
+        def recorded(name, func):
+            def wrapper(*args):
+                out = func(*args)
+                sizes[name].append(out.size)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(diagnostics, "rotate", recorded("rotate", rotary.rotate))
+        monkeypatch.setattr(
+            diagnostics, "_trial_normals", recorded("draw", diagnostics._trial_normals)
+        )
+        chunk, draw = _mc_blocks(width * width, d)
+        trials = 2 * draw + chunk + 5
+        config = SchemeConfig("rope1d", d=d)
+        monte_carlo_heatmap(
+            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials, d=d)
+        )
+        assert max(sizes["rotate"]) <= limit and max(sizes["draw"]) <= limit
+        # one _trial_normals call per draw; every trial drawn once, its query and keys rotated once
+        assert len(sizes["draw"]) == -(-trials // draw) and sum(sizes["draw"]) == trials * d
+        assert sum(sizes["rotate"]) == trials * d * (1 + width * width)
 
     def test_far_frame_matches_near_frame(self):
         # the same last frame 2e15 positions into the video: rotating by offsets

@@ -173,6 +173,23 @@ class TestBuildLayout:
         segments = parse_layout_spec("text:2,video:3x2x2,text:2")
         assert build_layout(segments, _config(scheme)) == build_layout(segments, _config(scheme))
 
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_element_budget_checked_where_tokens_are_filled(self, scheme):
+        # 10**11 tokens: the grids resolve, the per-token arrays are refused
+        layout = build_layout(parse_layout_spec("text:8,video:100000x100000x10,text:1"), _config(scheme))
+        assert len(layout.tokens) == 10**11 + 9
+        assert boundary_gaps(layout)
+        with pytest.raises(ParameterError, match="a layout of 100000000009 tokens .* budget"):
+            layout.positions
+        with pytest.raises(ParameterError, match="a layout of 100000000009 tokens .* budget"):
+            layout_csv(layout)
+
+    def test_token_count_past_2_53_rejected(self):
+        # rope_share positions do not grow with W*H, so only the count bounds them
+        segments = [VideoSegment(VideoGrid(2**27, 2**27, 1))]
+        with pytest.raises(ParameterError, match="2\\*\\*53 tokens"):
+            build_layout(segments, _config("rope_share"))
+
 
 class TestBoundaryGaps:
     @pytest.mark.parametrize("width,height,frames", [(1, 1, 1), (2, 2, 1), (3, 5, 4), (5, 5, 5)])
