@@ -14,8 +14,11 @@ seeding. The trial loop has two levels. A draw holds the normals of a
 whole number of key blocks, at most ``MC_CHUNK_ELEMENTS`` = 2**16 values
 (1024 trials at d=64), because each draw has a fixed cost whatever its
 size. A key block of those trials is rotated and summed, with at most
-``MC_CHUNK_ELEMENTS`` rotated keys (one trial's, where those are more). The
-output is fixed for a given version, seed and trial count; a version that
+``MC_CHUNK_ELEMENTS`` rotated keys (one trial's, where those are more).
+The query's and the frame's rotation factors are computed once per call,
+and every block is rotated into the same output and scratch buffers,
+allocated once per call; the bits are those of :func:`~ropelab.rotary.rotate`.
+The output is fixed for a given version, seed and trial count; a version that
 changes the key blocks or the summation order may differ in the last
 bits, which can flip a 6th decimal. How trials are grouped into draws
 does not change the sums.
@@ -36,7 +39,9 @@ from .rotary import (
     check_array_budget,
     check_head_params,
     expected_self_score,
-    rotate,
+    rotate_into,
+    rotation_factors,
+    rotation_scratch,
 )
 from .schemes import (
     PositionVector,
@@ -111,8 +116,9 @@ class TrialConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        # trial indices r < trials must fit the 64 unsigned bits _trial_normals hashes
+        if not 1 <= self.trials <= 2**64:
+            raise ParameterError(f"trials must be in [1, 2**64], got {self.trials}")
         check_head_params(self.d, self.base)
 
 
@@ -175,16 +181,22 @@ def monte_carlo_heatmap(
     """Monte-Carlo estimate of :func:`heatmap` through the rotation path.
 
     Each trial draws one random vector from its ``(seed, trial)`` substream,
-    rotates it with :func:`rotate` at the query's and every cell's offset
-    from the frame's cell ``(0, 0)``, and averages the dot products scaled
-    by ``1/d``. Trials are rotated and summed in key blocks of
+    rotates it at the query's and every cell's offset from the frame's cell
+    ``(0, 0)``, and averages the dot products scaled by ``1/d``. The
+    rotation is :func:`~ropelab.rotary.rotate`'s kernel,
+    :func:`~ropelab.rotary.rotate_into`, with the query's and the frame's
+    factors computed once per call, so every value is bit for bit what
+    ``rotate`` gives. Trials are rotated and summed in key blocks of
     ``chunk = max(1, MC_CHUNK_ELEMENTS // (W*H*d))`` trials, and their normals
     are drawn ``chunk * max(1, MC_CHUNK_ELEMENTS // (chunk*d))`` trials at a
     time, a whole number of blocks. With ``MC_CHUNK_ELEMENTS`` = 2**16, an
     8x8 frame at ``d=64`` has 16-trial blocks and 1024-trial draws, so 10k
     trials take 10 draws; neither a draw nor a block's rotated keys holds
     more than 2**16 values (512 KiB), or one trial's keys where those are
-    more. Memory stays bounded by the block, not by the trial count, and
+    more. Every block's rotated keys go into one buffer of a block, and the
+    rotation's second product into a scratch of half a block (split as
+    :func:`~ropelab.rotary.rotate_into` splits it), both allocated once per
+    call. Memory stays bounded by the block, not by the trial count, and
     the sums are those of the blocks alone.
 
     Raises:
@@ -206,11 +218,18 @@ def monte_carlo_heatmap(
     q_angles = (pair_positions(query, config) - origin) * schedule.theta
     k_angles = (keys - origin) * schedule.theta
     cells = grid.tokens_per_frame
-    # one trial's rotated keys hold W*H*d values, twice the frame's angle array
+    # one trial's rotated keys, and each of the frame's two factor arrays, hold W*H*d values
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
     chunk = max(1, MC_CHUNK_ELEMENTS // (cells * d))
     # a draw is a whole number of key blocks; each _trial_normals call has a fixed cost
     draw = chunk * max(1, MC_CHUNK_ELEMENTS // (chunk * d))
+    # the query's and the frame's pair factors, once per call
+    q_cos, q_sin = rotation_factors(q_angles)
+    k_cos, k_sin = rotation_factors(k_angles)
+    # every block is rotated into these, allocated once per call
+    rq_block = np.empty((chunk, d), dtype=np.float64)
+    rk_block = np.empty((chunk, grid.width, grid.height, d), dtype=np.float64)
+    scratch = rotation_scratch(rk_block.shape)
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
     # one generator for every draw: its state is set per trial, so its own seed is never drawn
@@ -219,8 +238,9 @@ def monte_carlo_heatmap(
         normals = _trial_normals(generator, seed, first, min(first + draw, trials), d)
         for start in range(0, len(normals), chunk):
             x = normals[start : start + chunk]
-            rq = rotate(x, q_angles)
-            rk = rotate(x[:, None, None, :], k_angles)
+            n = len(x)
+            rq = rotate_into(x, q_cos, q_sin, rq_block[:n], scratch)
+            rk = rotate_into(x[:, None, None, :], k_cos, k_sin, rk_block[:n], scratch)
             acc += np.einsum("nwhd,nd->wh", rk, rq) / d
     return ScoreGrid(
         values=acc / trials, scheme=config, query=tuple(query), frame=frame

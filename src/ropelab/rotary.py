@@ -5,7 +5,17 @@ read as ``d/2`` adjacent pairs ``(x[2j], x[2j+1])``. Pair ``j`` rotates in
 its own plane by an angle the caller supplies (typically
 ``position * theta[j]``). ``rotate`` takes leading batch axes; the scores
 built on it take single 1-D vectors.
-All math is double precision; every function is pure.
+
+A rotation runs in two steps. :func:`rotation_factors` turns the angles
+into pair factors once: ``cos`` in both channels of each pair, and ``sin``
+signed ``-``/``+``. :func:`rotate_into` is the one kernel,
+``out = x*cos2; out += swap(x)*sin2``, where ``swap`` exchanges each
+pair's two channels, so a caller rotating many vectors at the same angles
+(the Monte-Carlo heatmap) computes the factors once and reuses its output
+buffers. The bits equal the pair formula's: IEEE negation is exact, so
+``a*c + b*(-s)`` is ``a*c - b*s``, and addition commutes.
+All math is double precision; every function but :func:`rotate_into`,
+which writes into the buffers it is given, is pure.
 """
 
 from __future__ import annotations
@@ -104,6 +114,12 @@ def rotate(x, angles) -> np.ndarray:
     ``x`` has shape ``(..., d)`` and ``angles`` shape ``(..., d/2)``; their
     leading axes broadcast, so one call rotates a batch of vectors, or one
     vector at many angle sets. 1-D inputs give a 1-D result.
+
+    A thin wrapper: it checks the shapes, then applies :func:`rotate_into`
+    with the :func:`rotation_factors` of ``angles``. Every value is bit for
+    bit the pair formula's, signed zeros included: the kernel's
+    ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE arithmetic, and
+    ``b*cos + a*sin`` is ``a*sin + b*cos``.
     """
     x = np.asarray(x, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -124,15 +140,74 @@ def rotate(x, angles) -> np.ndarray:
         raise DimensionError(
             f"leading axes of x {x.shape} and angles {angles.shape} do not broadcast"
         ) from None
+    cos2, sin2 = rotation_factors(angles)
+    return rotate_into(x, cos2, sin2, np.empty(lead + (d,), dtype=np.float64))
+
+
+def rotation_factors(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Pair factors ``(cos2, sin2)`` of ``angles`` (shape ``(..., d/2)``) for :func:`rotate_into`.
+
+    Both have shape ``(..., d)``: ``cos2`` holds ``cos(phi)`` in both channels
+    of each pair, ``sin2`` holds ``-sin(phi)`` in the first and ``sin(phi)``
+    in the second.
+    """
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty(lead + (d,), dtype=np.float64)
-    # each half is written through out=, so the only temporary is one (..., d/2) product
-    out_even, out_odd = out[..., 0::2], out[..., 1::2]
-    np.multiply(even, cos, out=out_even)
-    out_even -= odd * sin
-    np.multiply(even, sin, out=out_odd)
-    out_odd += odd * cos
+    cos2 = np.repeat(cos, 2, axis=-1)
+    sin2 = np.empty_like(cos2)
+    np.negative(sin, out=sin2[..., 0::2])
+    sin2[..., 1::2] = sin
+    return cos2, sin2
+
+
+def _split(shape: tuple[int, ...]) -> tuple[int, int]:
+    """The first axis of ``shape`` longer than 1 (else the last), and its first half's length."""
+    axis = next((a for a, n in enumerate(shape) if n > 1), len(shape) - 1)
+    return axis, -(-shape[axis] // 2)
+
+
+def rotation_scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """A product buffer for :func:`rotate_into` into an output of ``shape``.
+
+    It also fits any output whose half, as ``rotate_into`` splits it, holds
+    no more values, such as a leading-axis slice of that output.
+    """
+    axis, half = _split(shape)
+    return np.empty(math.prod(shape[:axis]) * half * math.prod(shape[axis + 1 :]))
+
+
+def _part(a: np.ndarray, ndim: int, axis: int, rows: slice) -> np.ndarray:
+    """The part of ``a`` that fills ``rows`` of ``axis`` of an ``ndim``-axis broadcast result."""
+    axis -= ndim - a.ndim
+    if axis < 0 or a.shape[axis] == 1:
+        return a
+    return a[(slice(None),) * axis + (rows,)]
+
+
+def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
+    """Rotate ``x`` by the factors of :func:`rotation_factors` into ``out``, and return it.
+
+    Computes ``out = x * cos2; out += swap(x) * sin2``, where ``swap``
+    exchanges the two channels of each pair. ``x``, ``cos2`` and ``sin2``
+    broadcast to ``out``'s shape. The second product is formed half of
+    ``out`` at a time, along its first axis longer than 1, in ``scratch``
+    (from :func:`rotation_scratch`, or allocated here when None). Nothing
+    is checked; :func:`rotate` is the validating entry point.
+    """
+    # a broadcast copy, then products in place: numpy multiplies a
+    # broadcast operand row by row, which costs more than copying it
+    np.copyto(out, x)
+    out *= cos2
+    # swapped before broadcasting, so the copy is x's size, not out's
+    swapped = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))[..., ::-1].reshape(x.shape)
+    axis, half = _split(out.shape)
+    if scratch is None:
+        scratch = rotation_scratch(out.shape)
+    for rows in (slice(0, half), slice(half, out.shape[axis])):
+        part = out[(slice(None),) * axis + (rows,)]
+        product = scratch[: part.size].reshape(part.shape)
+        np.copyto(product, _part(swapped, out.ndim, axis, rows))
+        product *= _part(sin2, out.ndim, axis, rows)
+        part += product
     return out
 
 

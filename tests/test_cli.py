@@ -326,6 +326,13 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == "" and "2**53" in captured.err
 
+    # the trial config is built before anything runs, so nothing is printed
+    def test_trials_past_64_bits_exits_2(self, capsys):
+        argv = ["heatmap", "--scheme", "rope1d", "--video", "2x2x1", "--d", "8", "--mc"]
+        assert main(argv + ["--trials", str(2**64 + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials" in captured.err
+
     def test_frame_out_of_range_exits_2(self, capsys):
         rc = main(["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--frame", "5"])
         assert rc == 2

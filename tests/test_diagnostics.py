@@ -302,6 +302,10 @@ class TestMonteCarloHeatmap:
             TrialConfig(seed=0, trials=0)
         with pytest.raises(ParameterError):
             TrialConfig(seed=-1, trials=1)
+        # trial indices must fit in 64 unsigned bits: 2**64 trials is the most
+        assert TrialConfig(seed=0, trials=2**64).trials == 2**64
+        with pytest.raises(ParameterError, match="trials"):
+            TrialConfig(seed=0, trials=2**64 + 1)
         with pytest.raises(DimensionError):
             TrialConfig(seed=0, trials=1, d=5)
 
@@ -399,7 +403,8 @@ class TestMonteCarloHeatmap:
 
             return wrapper
 
-        monkeypatch.setattr(diagnostics, "rotate", recorded("rotate", rotary.rotate))
+        # the loop rotates through rotary.rotate's kernel, not through rotate itself
+        monkeypatch.setattr(diagnostics, "rotate_into", recorded("rotate", rotary.rotate_into))
         monkeypatch.setattr(
             diagnostics, "_trial_normals", recorded("draw", diagnostics._trial_normals)
         )
@@ -413,6 +418,35 @@ class TestMonteCarloHeatmap:
         # one _trial_normals call per draw; every trial drawn once, its query and keys rotated once
         assert len(sizes["draw"]) == -(-trials // draw) and sum(sizes["draw"]) == trials * d
         assert sum(sizes["rotate"]) == trials * d * (1 + width * width)
+
+    # 16-trial blocks; 1024-value blocks of 16 trials at 2x2, d=16; one-trial blocks of 8x8 cells
+    @pytest.mark.parametrize("elements,width,d", [(None, 8, 64), (2**10, 2, 16), (2**10, 8, 64)])
+    def test_blocks_reuse_one_output_and_half_block_scratch(self, elements, width, d, monkeypatch):
+        if elements is not None:
+            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
+        calls = []
+
+        def recorded(x, cos2, sin2, out, scratch):
+            calls.append((out, scratch))
+            return rotary.rotate_into(x, cos2, sin2, out, scratch)
+
+        monkeypatch.setattr(diagnostics, "rotate_into", recorded)
+        chunk, draw = _mc_blocks(width * width, d)
+        trials = draw + chunk + 5  # two draws, the last block short
+        config = SchemeConfig("rope1d", d=d)
+        monte_carlo_heatmap(
+            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials, d=d)
+        )
+        # per block, the query's rotation then the keys'
+        queries, keys = calls[0::2], calls[1::2]
+        assert len(queries) == len(keys) == draw // chunk + -(-(chunk + 5) // chunk)
+        assert all(out.shape[1:] == (width, width, d) for out, _ in keys)
+        block = chunk * width * width * d
+        scratch = keys[0][1]
+        assert 2 * scratch.size <= block
+        for rotated in (queries, keys):
+            assert all(np.shares_memory(out, rotated[0][0]) for out, _ in rotated)
+        assert all(s is scratch for _, s in calls)
 
     def test_far_frame_matches_near_frame(self):
         # the same last frame 2e15 positions into the video: rotating by offsets

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ropelab import rotary
 from ropelab import (
     DimensionError,
     ParameterError,
@@ -18,6 +20,23 @@ from ropelab import (
 )
 
 from oracles import rotate_ref, score_ref
+
+
+# finite floats with both zeros, subnormals and magnitudes up to 1e300, where no sum overflows
+_EDGE_FLOATS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e300, -1e300]),
+)
+
+
+def _pair_formula(x, angles):
+    """Each pair ``(a, b)`` to ``(a cos - b sin, a sin + b cos)``, one channel at a time."""
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], angles.shape[:-1]) + (x.shape[-1],))
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
 
 
 class TestFrequencySchedule:
@@ -116,6 +135,48 @@ class TestRotate:
             expected[0::2] = x[0::2] * cos - x[1::2] * sin
             expected[1::2] = x[0::2] * sin + x[1::2] * cos
             assert np.array_equal(rotate(x, angles), expected)
+
+    # 1-D; a Monte-Carlo key block, (n, 1, 1, d) against (W, H, d/2); one vector per angle set
+    @pytest.mark.parametrize(
+        "x_shape,angles_shape",
+        [((8,), (4,)), ((3, 1, 1, 8), (2, 3, 4)), ((4, 1, 8), (6, 4))],
+        ids=["1d", "key_block", "outer"],
+    )
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_matches_separable_pair_formula_bit_for_bit(self, x_shape, angles_shape, data):
+        x = data.draw(arrays(np.float64, x_shape, elements=_EDGE_FLOATS))
+        angles = data.draw(arrays(np.float64, angles_shape, elements=_EDGE_FLOATS))
+        got, expected = rotate(x, angles), _pair_formula(x, angles)
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_matches_separable_pair_formula_at_inf_and_nan(self, data):
+        elements = st.one_of(_EDGE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan]))
+        x = data.draw(arrays(np.float64, (3, 1, 1, 8), elements=elements))
+        angles = data.draw(arrays(np.float64, (2, 3, 4), elements=elements))
+        # inf * 0, inf - inf and cos(inf) are NaN, which numpy flags as invalid
+        with np.errstate(invalid="ignore"):
+            got, expected = rotate(x, angles), _pair_formula(x, angles)
+        assert np.array_equal(got, expected, equal_nan=True)
+        numbers = ~np.isnan(expected)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
+
+    def test_kernel_writes_into_given_buffers(self):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((5, 1, 8))
+        angles = rng.uniform(-20, 20, (3, 4))
+        cos2, sin2 = rotary.rotation_factors(angles)
+        out = np.empty((5, 3, 8))
+        scratch = rotary.rotation_scratch(out.shape)
+        assert scratch.size == 3 * 3 * 8  # the first 3 of the 5 rows
+        assert rotary.rotate_into(x, cos2, sin2, out, scratch) is out
+        assert np.array_equal(out, _pair_formula(x, angles))
+        # a shorter output reuses the same scratch
+        assert np.array_equal(
+            rotary.rotate_into(x[:2], cos2, sin2, out[:2], scratch), _pair_formula(x[:2], angles)
+        )
 
     def test_batched_equals_per_row_calls(self):
         rng = np.random.default_rng(29)
