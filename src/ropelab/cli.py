@@ -101,9 +101,7 @@ def _write(path: str, text: str) -> None:
 
 def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
     scheme = scheme if scheme is not None else args.scheme
-    partition = getattr(args, "partition", None)
-    if partition is not None and scheme != "rope3d":
-        raise RopelabError("--partition is only supported with --scheme rope3d")
+    partition = getattr(args, "partition", None)  # SchemeConfig decides which schemes take one
     return SchemeConfig(scheme, d=args.d, base=args.base, partition=partition)
 
 
@@ -123,7 +121,7 @@ def _cmd_heatmap(args) -> int:
     config = _scheme_config(args)
     query = _heatmap_query(config, args.video, args.query_gap)
     if args.mc:
-        trial_config = TrialConfig(seed=args.seed, trials=args.trials, d=args.d, base=args.base)
+        trial_config = TrialConfig(seed=args.seed, trials=args.trials)
         grid = monte_carlo_heatmap(config, args.video, args.frame, query, trial_config)
     else:
         grid = heatmap(config, args.video, args.frame, query)
@@ -172,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     positions.add_argument(
         "--layout", required=True, help='layout spec, e.g. "text:2,video:2x2x1,text:1"'
     )
-    positions.add_argument("--partition", type=_partition_arg, help="t:h:w pair counts (rope3d)")
+    positions.add_argument(
+        "--partition", type=_partition_arg, help="t:h:w pair counts (rope3d, rope_compact)"
+    )
     _add_numeric_flags(positions)
     _add_out_flag(positions)
     positions.set_defaults(func=_cmd_positions)
@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="query = first post-video text position plus gap-1 (default 1)",
     )
-    heat.add_argument("--partition", type=_partition_arg, help="t:h:w pair counts (rope3d)")
+    heat.add_argument(
+        "--partition", type=_partition_arg, help="t:h:w pair counts (rope3d, rope_compact)"
+    )
     heat.add_argument("--svg", help="also render the grid to this SVG path")
     heat.add_argument("--mc", action="store_true", help="Monte-Carlo estimate instead of closed form")
     heat.add_argument("--seed", type=_int_arg, default=0, help="Monte-Carlo master seed (default 0)")

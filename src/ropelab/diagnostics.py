@@ -3,8 +3,11 @@
 The default metric is the closed-form expected self-score
 ``(2/d) * sum_j cos(delta_j * theta_j)`` -- the exact expectation of the
 rotated dot product of a random vector with itself across a position
-offset, normalized to 1 at zero offset. A Monte-Carlo variant estimates
-the same quantity through the actual rotation path; trial ``r`` draws
+offset, normalized to 1 at zero offset. Each diagnostic reads ``d``, the
+base and the partition from its :class:`~ropelab.schemes.SchemeConfig` (the
+boundary table from ``layout.scheme``) alone. A Monte-Carlo variant
+estimates the same quantity through the actual rotation path, with only
+the seed and trial count in its :class:`TrialConfig`; trial ``r`` draws
 ``standard_normal(d)`` from numpy's PCG64 seeded by
 ``SeedSequence([seed, r])``, so each trial's vector does not depend on
 evaluation order or parallelism. The seeding runs in bulk, for a draw of
@@ -27,17 +30,17 @@ does not change the sums.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvblock import format_block
-from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
+from .errors import CoordinateError, ParameterError
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
     check_array_budget,
-    check_head_params,
     expected_self_score,
     rotate_into,
     rotation_factors,
@@ -73,14 +76,24 @@ _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreGrid:
-    """Expected scores from one query to every cell of one frame; ``values[w, h]``."""
+    """Expected scores from one query to every cell of one frame; ``values[w, h]``.
+
+    Two grids are equal when their values are, element by element, and
+    their scheme, query and frame are.
+    """
 
     values: np.ndarray
     scheme: SchemeConfig
     query: PositionVector
     frame: int
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreGrid):
+            return NotImplemented
+        same = (self.scheme, self.query, self.frame) == (other.scheme, other.query, other.frame)
+        return same and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +119,21 @@ class DecayCurve:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Monte-Carlo settings: master seed, trial count, head dimension, base."""
+    """Monte-Carlo settings: master seed and trial count (``d`` and base are the scheme's)."""
 
     seed: int
     trials: int
-    d: int = 64
-    base: float = 10000.0
 
     def __post_init__(self):
+        for name in ("seed", "trials"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         # trial indices r < trials must fit the 64 unsigned bits _trial_normals hashes
         if not 1 <= self.trials <= 2**64:
             raise ParameterError(f"trials must be in [1, 2**64], got {self.trials}")
-        check_head_params(self.d, self.base)
 
 
 @dataclass(frozen=True)
@@ -129,14 +143,6 @@ class BoundaryScore:
     scheme_id: str
     target: str  # "video" | "text"
     mean_score: float
-
-
-def _resolve_schedule(config: SchemeConfig, schedule: FrequencySchedule | None) -> FrequencySchedule:
-    if schedule is None:
-        return config.schedule()
-    if schedule.d != config.d:
-        raise DimensionError(f"schedule d={schedule.d} does not match scheme d={config.d}")
-    return schedule
 
 
 def _frame_pair_positions(
@@ -152,22 +158,15 @@ def _frame_pair_positions(
     return cells[:, :, group_allocation(config)]
 
 
-def heatmap(
-    config: SchemeConfig,
-    grid: VideoGrid,
-    frame: int,
-    query: PositionVector,
-    schedule: FrequencySchedule | None = None,
-) -> ScoreGrid:
+def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVector) -> ScoreGrid:
     """Closed-form expected self-score from ``query`` to every cell of ``frame``.
 
     Cell positions are taken with the video starting at position 0; pass an
     absolute query vector (scores depend only on the differences).
     """
-    schedule = _resolve_schedule(config, schedule)
     q = pair_positions(query, config)
     cells = _frame_pair_positions(config, grid, frame)
-    values = expected_self_score(q - cells, schedule)
+    values = expected_self_score(q - cells, config.schedule())
     return ScoreGrid(values=values, scheme=config, query=tuple(query), frame=frame)
 
 
@@ -182,7 +181,9 @@ def monte_carlo_heatmap(
 
     Each trial draws one random vector from its ``(seed, trial)`` substream,
     rotates it at the query's and every cell's offset from the frame's cell
-    ``(0, 0)``, and averages the dot products scaled by ``1/d``. The
+    ``(0, 0)``, and averages the dot products scaled by ``1/d``. The head
+    dimension ``d``, the base and the partition are ``config``'s;
+    ``trial_config`` gives only the seed and the trial count. The
     rotation is :func:`~ropelab.rotary.rotate`'s kernel,
     :func:`~ropelab.rotary.rotate_into`, with the query's and the frame's
     factors computed once per call, so every value is bit for bit what
@@ -203,11 +204,6 @@ def monte_carlo_heatmap(
         ParameterError: if one trial's rotated keys (``W*H*d`` values)
             exceed the array budget.
     """
-    if trial_config.d != config.d or trial_config.base != config.base:
-        raise ConfigError(
-            f"trial config (d={trial_config.d}, base={trial_config.base}) does not match "
-            f"scheme (d={config.d}, base={config.base})"
-        )
     schedule = config.schedule()
     d = config.d
     keys = _frame_pair_positions(config, grid, frame)
@@ -337,14 +333,13 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     return DecayCurve(values)
 
 
-def boundary_score_table(
-    layout: TokenLayout, schedule: FrequencySchedule | None = None
-) -> tuple[BoundaryScore, ...]:
+def boundary_score_table(layout: TokenLayout) -> tuple[BoundaryScore, ...]:
     """Mean expected self-scores from the boundary text token to video and text keys.
 
     The query is the first text token after the first video-to-text segment
     boundary; key sets are all video tokens and all text tokens preceding
     the query. Returns an empty tuple when the layout has no such boundary.
+    The schedule is that of ``layout.scheme``.
 
     Every segment is an affine grid (see :class:`~ropelab.layout.TokenLayout`):
     its keys sit at ``p0 + sum_a k_a * s_a``, ``0 <= k_a < n_a``, with ``p0``
@@ -357,14 +352,13 @@ def boundary_score_table(
     ``layout.positions``.
     """
     config = layout.scheme
-    schedule = _resolve_schedule(config, schedule)
     boundaries = video_text_boundaries(layout.segments)
     if not boundaries:
         return ()
     query = boundaries[0] + 1  # the text segment after the first video-to-text boundary
     counts = layout.counts[:query]
     keys = counts.prod(axis=1)
-    alloc, theta = group_allocation(config), schedule.theta
+    alloc, theta = group_allocation(config), config.schedule().theta
     # q - p0 stays in integers until it meets theta
     angle = (layout.firsts[query] - layout.firsts[:query])[:, alloc] * theta
     x = layout.steps[:query, :, alloc] * theta  # (segments, 3 axes, pairs)

@@ -21,7 +21,7 @@ which writes into the buffers it is given, is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,13 @@ class FrequencySchedule:
 
     ``theta[j] = base ** (-2j/d)`` for ``j = 0 .. d/2 - 1``; ``theta[0]`` is
     exactly 1 and the sequence is strictly decreasing for ``base > 1``.
+    Two schedules are equal when their ``base`` and ``d`` are; ``theta``
+    follows from them.
     """
 
     base: float
     d: int
-    theta: np.ndarray
+    theta: np.ndarray = field(compare=False)
 
     @property
     def pairs(self) -> int:

@@ -174,9 +174,8 @@ def _check_coordinate(coord: TokenCoordinate, grid: VideoGrid) -> None:
 
 
 def symmetric_indices(coord: TokenCoordinate) -> SymmetricIndices:
-    """Four diagonal position indices of a cell, one per arrangement direction."""
-    w, h = coord.w, coord.h
-    return SymmetricIndices(w + h, w - h, -w - h, -w + h)
+    """Four diagonal position indices of a cell: vrope's ``_DIAGONALS`` over ``(w, h)``."""
+    return SymmetricIndices(*(a * coord.w + b * coord.h for a, b in _DIAGONALS))
 
 
 def vrope_position(coord: TokenCoordinate, grid: VideoGrid, p_start: int) -> PositionVector:

@@ -217,7 +217,7 @@ def check_monte_carlo_agreement() -> None:
     layout = build_layout([VideoSegment(grid), TextSegment(1)], config)
     query = layout.tokens[-1].position
     exact = heatmap(config, grid, grid.frames - 1, query)
-    trial_config = TrialConfig(seed=20240701, trials=10000, d=64)
+    trial_config = TrialConfig(seed=20240701, trials=10000)
     sampled = monte_carlo_heatmap(config, grid, grid.frames - 1, query, trial_config)
     assert np.max(np.abs(sampled.values - exact.values)) < 0.02
     again = monte_carlo_heatmap(config, grid, grid.frames - 1, query, trial_config)

@@ -248,7 +248,7 @@ def test_criterion_9_monte_carlo_validation():
         layout = build_layout([VideoSegment(video), TextSegment(1)], config)
         query = layout.tokens[-1].position
         exact = heatmap(config, video, 1, query)
-        trial_config = TrialConfig(seed=20240701, trials=10000, d=64)
+        trial_config = TrialConfig(seed=20240701, trials=10000)
         sampled = monte_carlo_heatmap(config, video, 1, query, trial_config)
         assert np.max(np.abs(sampled.values - exact.values)) < 0.02
         again = monte_carlo_heatmap(config, video, 1, query, trial_config)

@@ -13,9 +13,13 @@ from ropelab import (
     SCHEME_IDS,
     SchemeConfig,
     TextSegment,
+    TrialConfig,
     build_layout,
     heatmap,
+    heatmap_csv,
     heatmap_svg,
+    layout_csv,
+    monte_carlo_heatmap,
     parse_layout_csv,
     parse_layout_spec,
     VideoGrid,
@@ -58,6 +62,16 @@ class TestPositions:
         csv_text = capsys.readouterr().out
         layout = build_layout(parse_layout_spec(spec), SchemeConfig("rope_compact", d=64))
         assert parse_layout_csv(csv_text) == layout.tokens
+
+    def test_partition_accepted_for_rope_compact(self, capsys):
+        spec = "text:1,video:3x2x2,text:2"
+        rc = main(
+            ["positions", "--scheme", "rope_compact", "--layout", spec, "--d", "16",
+             "--partition", "4:2:2"]
+        )
+        assert rc == 0
+        config = SchemeConfig("rope_compact", d=16, partition=(4, 2, 2))
+        assert capsys.readouterr().out == layout_csv(build_layout(parse_layout_spec(spec), config))
 
     def test_byte_identical_across_runs(self, capsys):
         args = ["positions", "--scheme", "rope3d", "--layout", "video:2x3x2,text:2"]
@@ -152,6 +166,21 @@ class TestHeatmap:
         total = sum(float(line.split(",")[2]) for line in lines)
         assert abs(total - 1.0) < 1e-5
 
+    def test_monte_carlo_reads_d_and_base_from_scheme(self, capsys):
+        argv = ["heatmap", "--scheme", "rope3d", "--video", "3x2x2", "--frame", "1",
+                "--d", "8", "--base", "500"]
+        assert main(argv + ["--mc", "--seed", "3", "--trials", "10000"]) == 0
+        sampled = capsys.readouterr().out
+        config = SchemeConfig("rope3d", d=8, base=500.0)
+        video = VideoGrid(3, 2, 2)
+        query = _heatmap_query(config, video, 1)
+        library = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=3, trials=10000))
+        assert sampled == heatmap_csv(library)
+        assert main(argv) == 0
+        exact = [float(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[1:]]
+        values = [float(line.split(",")[2]) for line in sampled.splitlines()[1:]]
+        assert np.max(np.abs(np.array(values) - exact)) < 0.02
+
     def test_partition_accepted_for_rope3d(self, capsys):
         rc = main(
             ["heatmap", "--scheme", "rope3d", "--video", "2x2x2", "--d", "16",
@@ -211,7 +240,19 @@ class TestExitCodes:
             ["positions", "--scheme", "vrope", "--layout", "text:1", "--partition", "2:1:1"]
         )
         assert rc == 2
-        assert "rope3d" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "vrope does not take a partition" in captured.err
+
+    # SchemeConfig's rule decides: rope2d takes two sizes, rope1d and rope_share none
+    @pytest.mark.parametrize("scheme", ["rope2d", "rope1d", "rope_share"])
+    def test_partition_refused_by_scheme_config_exits_2(self, scheme, capsys):
+        rc = main(
+            ["positions", "--scheme", scheme, "--layout", "text:1", "--d", "8",
+             "--partition", "2:1:1"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {scheme} " in captured.err
 
     def test_incompatible_dimension_exits_2(self, capsys):
         rc = main(["positions", "--scheme", "vrope", "--layout", "text:1", "--d", "6"])

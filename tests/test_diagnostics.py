@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ropelab import (
-    ConfigError,
     CoordinateError,
     DimensionError,
     ParameterError,
@@ -116,10 +115,16 @@ class TestHeatmap:
         with pytest.raises(ParameterError, match="budget"):
             heatmap(config, VideoGrid(10**6, 10**6, 1), 0, (5, 5, 5, 5))
 
-    def test_schedule_dimension_checked(self):
+    def test_grids_compare_by_value(self):
         config = SchemeConfig("vrope", d=8)
-        with pytest.raises(DimensionError):
-            heatmap(config, VideoGrid(2, 2, 1), 0, (5, 5, 5, 5), build_frequency_schedule(10000.0, 16))
+        video = VideoGrid(3, 2, 2)
+        query = (5, 5, 5, 5)
+        grid = heatmap(config, video, 0, query)
+        assert grid == heatmap(config, video, 0, query)
+        assert grid != heatmap(config, video, 1, query)
+        assert grid != heatmap(config, video, 0, (6, 6, 6, 6))
+        assert grid != heatmap(SchemeConfig("vrope", d=8, base=500.0), video, 0, query)
+        assert grid != softmax_grid(grid)
 
     @pytest.mark.parametrize("query", [(2**53 + 1,), (-(2**53) - 1,), (10**20,), (float("nan"),)])
     def test_query_past_position_cap(self, query):
@@ -127,7 +132,7 @@ class TestHeatmap:
         with pytest.raises(ParameterError, match="2\\*\\*53"):
             heatmap(config, VideoGrid(2, 2, 1), 0, query)
         with pytest.raises(ParameterError, match="2\\*\\*53"):
-            monte_carlo_heatmap(config, VideoGrid(2, 2, 1), 0, query, TrialConfig(0, 1, d=8))
+            monte_carlo_heatmap(config, VideoGrid(2, 2, 1), 0, query, TrialConfig(0, 1))
 
 
 class TestDecayCurve:
@@ -259,7 +264,7 @@ class TestMonteCarloHeatmap:
         query = layout.tokens[-1].position
         exact = heatmap(config, video, 1, query)
         sampled = monte_carlo_heatmap(
-            config, video, 1, query, TrialConfig(seed=7, trials=10000, d=64)
+            config, video, 1, query, TrialConfig(seed=7, trials=10000)
         )
         assert np.max(np.abs(sampled.values - exact.values)) < 0.02
 
@@ -267,7 +272,7 @@ class TestMonteCarloHeatmap:
         config = SchemeConfig("rope1d", d=64)
         video = VideoGrid(2, 2, 1)
         sampled = monte_carlo_heatmap(
-            config, video, 0, (3,), TrialConfig(seed=21, trials=10000, d=64)
+            config, video, 0, (3,), TrialConfig(seed=21, trials=10000)
         )
         # cell (1, 1) sits at raster position 3, exactly the query position
         assert abs(sampled.values[1, 1] - 1.0) < 0.02
@@ -277,7 +282,7 @@ class TestMonteCarloHeatmap:
     def test_bit_reproducible(self):
         config = SchemeConfig("rope3d", d=8)
         video = VideoGrid(3, 2, 2)
-        trial_config = TrialConfig(seed=99, trials=64, d=8)
+        trial_config = TrialConfig(seed=99, trials=64)
         first = monte_carlo_heatmap(config, video, 0, (4, 4, 4), trial_config)
         second = monte_carlo_heatmap(config, video, 0, (4, 4, 4), trial_config)
         assert np.array_equal(first.values, second.values)
@@ -285,17 +290,10 @@ class TestMonteCarloHeatmap:
     def test_single_trial_deterministic(self):
         config = SchemeConfig("rope1d", d=8)
         video = VideoGrid(2, 2, 1)
-        trial_config = TrialConfig(seed=5, trials=1, d=8)
+        trial_config = TrialConfig(seed=5, trials=1)
         first = monte_carlo_heatmap(config, video, 0, (7,), trial_config)
         second = monte_carlo_heatmap(config, video, 0, (7,), trial_config)
         assert np.array_equal(first.values, second.values)
-
-    def test_config_mismatch_rejected(self):
-        config = SchemeConfig("rope1d", d=8)
-        with pytest.raises(ConfigError):
-            monte_carlo_heatmap(
-                config, VideoGrid(2, 2, 1), 0, (7,), TrialConfig(seed=0, trials=1, d=16)
-            )
 
     def test_trial_config_validation(self):
         with pytest.raises(ParameterError):
@@ -306,13 +304,10 @@ class TestMonteCarloHeatmap:
         assert TrialConfig(seed=0, trials=2**64).trials == 2**64
         with pytest.raises(ParameterError, match="trials"):
             TrialConfig(seed=0, trials=2**64 + 1)
-        with pytest.raises(DimensionError):
-            TrialConfig(seed=0, trials=1, d=5)
-
-    @pytest.mark.parametrize("base", [float("nan"), float("inf"), float("-inf")])
-    def test_trial_config_rejects_non_finite_base(self, base):
-        with pytest.raises(ParameterError):
-            TrialConfig(seed=0, trials=1, d=8, base=base)
+        for seed, trials in ((1.5, 3), (1.0, 3), ("1", 3), (0, 2.5), (0, 3.0), (0, None)):
+            with pytest.raises(ParameterError, match="integer"):
+                TrialConfig(seed=seed, trials=trials)
+        assert TrialConfig(seed=np.uint64(2**64 - 1), trials=np.int64(3)).trials == 3
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1, "past_draw"])
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
@@ -378,7 +373,7 @@ class TestMonteCarloHeatmap:
     def test_mc_chunk_size_does_not_change_values(self, scheme, monkeypatch):
         config = SchemeConfig(scheme, d=16)
         video = VideoGrid(3, 2, 2)
-        trial_config = TrialConfig(seed=11, trials=50, d=16)
+        trial_config = TrialConfig(seed=11, trials=50)
         whole = monte_carlo_heatmap(config, video, 1, (9,) * config.group_count, trial_config)
         for elements in (1, 7 * 6 * 16):
             monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
@@ -412,7 +407,7 @@ class TestMonteCarloHeatmap:
         trials = 2 * draw + chunk + 5
         config = SchemeConfig("rope1d", d=d)
         monte_carlo_heatmap(
-            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials, d=d)
+            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials)
         )
         assert max(sizes["rotate"]) <= limit and max(sizes["draw"]) <= limit
         # one _trial_normals call per draw; every trial drawn once, its query and keys rotated once
@@ -435,7 +430,7 @@ class TestMonteCarloHeatmap:
         trials = draw + chunk + 5  # two draws, the last block short
         config = SchemeConfig("rope1d", d=d)
         monte_carlo_heatmap(
-            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials, d=d)
+            config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials)
         )
         # per block, the query's rotation then the keys'
         queries, keys = calls[0::2], calls[1::2]
@@ -452,7 +447,7 @@ class TestMonteCarloHeatmap:
         # the same last frame 2e15 positions into the video: rotating by offsets
         # from the frame's cell (0, 0) keeps the angles as small as at 1000 frames
         config = SchemeConfig("rope1d", d=8)
-        trial_config = TrialConfig(seed=1, trials=4000, d=8)
+        trial_config = TrialConfig(seed=1, trials=4000)
         values = []
         for frames in (1000, 2 * 10**15):
             video = VideoGrid(2, 2, frames)
@@ -470,7 +465,7 @@ class TestMonteCarloHeatmap:
         heatmap(config, video, 0, (5, 5, 5, 5))
         with pytest.raises(ParameterError, match="budget"):
             monte_carlo_heatmap(
-                config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1, d=8)
+                config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1)
             )
 
 

@@ -50,6 +50,13 @@ class TestFrequencySchedule:
         assert abs(schedule.theta[1] - 0.70711) < 5e-6
         assert abs(schedule.theta[3] - 0.35355) < 5e-6
 
+    def test_schedules_compare_by_base_and_d(self):
+        schedule = build_frequency_schedule(10000.0, 8)
+        assert schedule == build_frequency_schedule(10000, 8)
+        assert hash(schedule) == hash(build_frequency_schedule(10000.0, 8))
+        assert schedule != build_frequency_schedule(10000.0, 16)
+        assert schedule != build_frequency_schedule(500.0, 8)
+
     @pytest.mark.parametrize("d", [3, 1, 0, -2, 7])
     def test_invalid_dimension(self, d):
         with pytest.raises(DimensionError):
