@@ -48,11 +48,11 @@ def _video_arg(value: str) -> VideoGrid:
     return VideoGrid(width, height, frames)
 
 
-def _partition_arg(value: str) -> tuple[int, int, int]:
-    m = re.fullmatch(r"([0-9]+):([0-9]+):([0-9]+)", value.strip())
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected t:h:w pair counts, got {value!r}")
-    return tuple(int(g) for g in m.groups())
+def _partition_arg(value: str) -> tuple[int, ...]:
+    """Colon-separated ASCII integers; ``SchemeConfig`` decides how many a scheme takes."""
+    if not re.fullmatch(r"[0-9]+(:[0-9]+)*", value.strip()):
+        raise argparse.ArgumentTypeError(f"expected colon-separated pair counts, got {value!r}")
+    return tuple(int(size) for size in value.strip().split(":"))
 
 
 def _int_arg(value: str) -> int:
@@ -127,9 +127,10 @@ def _cmd_heatmap(args) -> int:
         grid = heatmap(config, args.video, args.frame, query)
     if args.softmax:
         grid = softmax_grid(grid)
-    _write(args.out, heatmap_csv(grid))
-    if args.svg:
+    text = heatmap_csv(grid)
+    if args.svg:  # written first, so a failed SVG leaves the CSV unwritten
         _write(args.svg, heatmap_svg(grid))
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--layout", required=True, help='layout spec, e.g. "text:2,video:2x2x1,text:1"'
     )
     positions.add_argument(
-        "--partition", type=_partition_arg, help="t:h:w pair counts (rope3d, rope_compact)"
+        "--partition", type=_partition_arg, help="channel pairs per position dim, e.g. 8:12:12"
     )
     _add_numeric_flags(positions)
     _add_out_flag(positions)
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query = first post-video text position plus gap-1 (default 1)",
     )
     heat.add_argument(
-        "--partition", type=_partition_arg, help="t:h:w pair counts (rope3d, rope_compact)"
+        "--partition", type=_partition_arg, help="channel pairs per position dim, e.g. 8:12:12"
     )
     heat.add_argument("--svg", help="also render the grid to this SVG path")
     heat.add_argument("--mc", action="store_true", help="Monte-Carlo estimate instead of closed form")

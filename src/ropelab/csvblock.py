@@ -1,6 +1,7 @@
-"""One block of CSV rows, formatted by a single ``%`` over a repeated row template.
+"""Blocks of rows, each CSV block formatted by a single ``%`` over a repeated row template.
 
-Every CSV writer formats its rows a block at a time through
+Every row-blocked pass walks its rows through :func:`row_blocks`, at most
+``BLOCK_ROWS`` rows at a time, and every CSV writer formats a block through
 :func:`format_block`: the block's columns are interleaved row-major into one
 flat list and ``row_format * n`` is filled in one C-level ``%`` call. The
 result equals ``"".join(row_format % row for row in zip(*columns))``, since
@@ -10,6 +11,15 @@ result equals ``"".join(row_format % row for row in zip(*columns))``, since
 from __future__ import annotations
 
 import functools
+
+# rows per block in every row-blocked pass
+BLOCK_ROWS = 4096
+
+
+def row_blocks(start: int, stop: int):
+    """Each block of at most ``BLOCK_ROWS`` consecutive rows in ``[start, stop)``, as a range."""
+    for first in range(start, stop, BLOCK_ROWS):
+        yield range(first, min(first + BLOCK_ROWS, stop))
 
 
 @functools.lru_cache(maxsize=4)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvblock import format_block
+from .csvblock import format_block, row_blocks
 from .errors import CoordinateError, ParameterError
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
@@ -55,10 +55,6 @@ from .schemes import (
     video_positions,
 )
 
-# delta rows per block in decay_curve and decay_csv
-DECAY_CHUNK_ROWS = 8192
-# cells per block in heatmap_csv
-HEATMAP_CHUNK_ROWS = 8192
 # rotated-key elements per key block of Monte-Carlo trials, and normals per
 # draw (512 KiB of float64 each)
 MC_CHUNK_ELEMENTS = 2**16
@@ -323,10 +319,10 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
         raise ParameterError(f"max_delta must be >= 1, got {max_delta}")
     check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")
     values = np.empty(max_delta + 1, dtype=np.float64)
-    # DECAY_CHUNK_ROWS offsets at a time; each row's score does not depend on the block
-    for start in range(0, max_delta + 1, DECAY_CHUNK_ROWS):
-        deltas = np.arange(start, min(start + DECAY_CHUNK_ROWS, max_delta + 1), dtype=np.float64)
-        values[start : start + len(deltas)] = expected_self_score(
+    # a block of offsets at a time; each row's score does not depend on the block
+    for rows in row_blocks(0, max_delta + 1):
+        deltas = np.arange(rows.start, rows.stop, dtype=np.float64)
+        values[rows.start : rows.stop] = expected_self_score(
             np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
         )
     values.setflags(write=False)
@@ -383,15 +379,14 @@ def boundary_score_table(layout: TokenLayout) -> tuple[BoundaryScore, ...]:
 def heatmap_csv(grid: ScoreGrid) -> str:
     """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values.
 
-    Rows are formatted ``HEATMAP_CHUNK_ROWS`` at a time.
+    Rows are formatted a block at a time (see :func:`~ropelab.csvblock.row_blocks`).
     """
     width = grid.values.shape[0]
     values = grid.values.T.ravel()  # scanline order: h outer, w inner
     pieces = ["w,h,value\n"]
-    for start in range(0, len(values), HEATMAP_CHUNK_ROWS):
-        stop = min(start + HEATMAP_CHUNK_ROWS, len(values))
-        h, w = np.divmod(np.arange(start, stop), width)
-        columns = [w.tolist(), h.tolist(), values[start:stop].tolist()]
+    for rows in row_blocks(0, len(values)):
+        h, w = np.divmod(np.arange(rows.start, rows.stop), width)
+        columns = [w.tolist(), h.tolist(), values[rows.start : rows.stop].tolist()]
         pieces.append(format_block("%d,%d,%.6f\n", columns))
     return "".join(pieces)
 
@@ -399,14 +394,13 @@ def heatmap_csv(grid: ScoreGrid) -> str:
 def decay_csv(curve: DecayCurve) -> str:
     """Decay curve as ``delta,value`` CSV rows, 6-decimal values.
 
-    Rows are formatted ``DECAY_CHUNK_ROWS`` at a time from ``curve.values``,
-    so no more than one block's Python objects exist beside the text.
+    Rows are formatted a block at a time from ``curve.values``, so no more
+    than one block's Python objects exist beside the text.
     """
     values = curve.values
     pieces = ["delta,value\n"]
-    for start in range(0, len(values), DECAY_CHUNK_ROWS):
-        stop = min(start + DECAY_CHUNK_ROWS, len(values))
-        pieces.append(format_block("%d,%.6f\n", [range(start, stop), values[start:stop].tolist()]))
+    for rows in row_blocks(0, len(values)):
+        pieces.append(format_block("%d,%.6f\n", [rows, values[rows.start : rows.stop].tolist()]))
     return "".join(pieces)
 
 

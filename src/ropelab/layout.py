@@ -4,15 +4,14 @@ A layout spec is a comma-separated list of segments, e.g.
 ``"text:2,video:2x2x1,text:1"`` (video sizes are WxHxT). Whitespace is
 insignificant. :func:`build_layout` resolves each segment under a scheme,
 continuation rules included, into an affine grid, from which the per-token
-``positions`` are filled when first read; a token's segment, modality,
-cell and offset follow from the segments.
+``positions`` are filled when first read; the fill, the ``tokens`` view
+and :func:`layout_csv` all read one walk over the grids' blocks of rows.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import io
@@ -23,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvblock import format_block
+from .csvblock import format_block, row_blocks
 from .errors import LayoutParseError, ParameterError
 from .rotary import check_array_budget
 from .schemes import (
     MAX_POSITION,
+    SCHEME_IDS,
     PositionVector,
     SchemeConfig,
     TokenCoordinate,
@@ -36,9 +36,6 @@ from .schemes import (
     text_start_after_video,
     video_map,
 )
-
-# rows per block when converting a layout to Python objects or CSV text
-_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -84,46 +81,41 @@ class LayoutToken:
 class LayoutTokens(Sequence):
     """Read-only per-token view of a :class:`TokenLayout`.
 
-    Tokens are built when accessed, from ``positions`` and the segment that
-    holds each row, found by binary search over the segments' first rows;
-    ``len()`` reads the segments and costs O(1). The view compares equal to
-    a tuple, or another view, holding the same tokens in the same order.
+    Tokens are built when accessed, a block at a time from the layout's
+    block walk, without filling ``positions``; ``len()`` and indexing a token
+    cost O(segments). The view compares equal to a tuple, or another view,
+    holding the same tokens in the same order.
     """
 
-    __slots__ = ("_layout", "_starts")
+    __slots__ = ("_layout",)
 
     def __init__(self, layout: TokenLayout):
         self._layout = layout
-        self._starts = _segment_starts(layout.segments)
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return _segment_starts(self._layout.segments)[-1]
 
-    def _build(self, start: int, stop: int) -> list[LayoutToken]:
-        segments, starts, tokens = self._layout.segments, self._starts, []
-        index = bisect.bisect_right(starts, start) - 1
-        for row, position in enumerate(self._layout.positions[start:stop].tolist(), start):
-            if row == starts[index + 1]:  # segments are never empty
-                index += 1
-            segment, offset = segments[index], row - starts[index]
-            if isinstance(segment, VideoSegment):
-                coord = TokenCoordinate(*_cell(offset, segment.grid))
-                tokens.append(LayoutToken("video", index, coord, None, tuple(position)))
-            else:
-                tokens.append(LayoutToken("text", index, None, offset, tuple(position)))
-        return tokens
+    def _walk(self, start: int, stop: int):
+        """The tokens of rows ``[start, stop)``, in order."""
+        segments = self._layout.segments
+        for index, _, cells, positions in _blocks(self._layout, start, stop):
+            video = isinstance(segments[index], VideoSegment)
+            for cell, position in zip(cells.tolist(), positions.tolist()):
+                if video:
+                    yield LayoutToken("video", index, TokenCoordinate(*cell), None, tuple(position))
+                else:  # a text cell is (offset, 0, 0)
+                    yield LayoutToken("text", index, None, cell[0], tuple(position))
 
     def __getitem__(self, index):
         picked = range(len(self))[index]  # normalizes negatives, raises IndexError
         if isinstance(picked, int):
-            return self._build(picked, picked + 1)[0]
+            return next(self._walk(picked, picked + 1))
         if picked.step == 1:
-            return tuple(self._build(picked.start, picked.stop))
+            return tuple(self._walk(picked.start, picked.stop))
         return tuple(self[i] for i in picked)
 
     def __iter__(self):
-        for start in range(0, len(self), _CHUNK_ROWS):
-            yield from self._build(start, start + _CHUNK_ROWS)
+        return self._walk(0, len(self))
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, LayoutTokens)):
@@ -156,17 +148,14 @@ class TokenLayout:
 
         Video tokens appear in raster order (frame outer, then row, then
         column); text positions increase by one per token within a segment.
+        Only one block's cells and positions are held beside the array.
         Raises ParameterError if tokens times ``max(G, 3)`` exceeds the
         element budget.
         """
-        slices = _segment_slices(self.segments)
-        _check_layout_budget(self)
-        positions = np.empty((slices[-1].stop, self.scheme.group_count), dtype=np.int64)
-        for first, steps, counts, rows in zip(self.firsts, self.steps, self.counts.tolist(), slices):
-            cells = _grid_cells(np.arange(rows.stop - rows.start), counts)
-            # in place: no (n, G) product or sum is held beside positions
-            np.matmul(cells, steps, out=positions[rows])
-            positions[rows] += first
+        total = _check_layout_budget(self)
+        positions = np.empty((total, self.scheme.group_count), dtype=np.int64)
+        for _, first, _, block in _blocks(self, 0, total):
+            positions[first : first + len(block)] = block
         positions.setflags(write=False)
         return positions
 
@@ -284,11 +273,12 @@ def build_layout(segments, scheme: SchemeConfig) -> TokenLayout:
     return TokenLayout(scheme, segments, firsts, steps, counts)
 
 
-def _check_layout_budget(layout: TokenLayout) -> None:
-    """Raise ParameterError if the layout's per-token arrays would exceed the element budget."""
+def _check_layout_budget(layout: TokenLayout) -> int:
+    """The layout's token count; ParameterError if its per-token arrays exceed the element budget."""
     total = _segment_starts(layout.segments)[-1]
     # the widest per-token arrays are positions (G columns) and a segment's cells (3)
     check_array_budget(total * max(layout.scheme.group_count, 3), f"a layout of {total} tokens")
+    return total
 
 
 def _cell(offset, grid: VideoGrid):
@@ -298,22 +288,34 @@ def _cell(offset, grid: VideoGrid):
     return w, h, t
 
 
-def _grid_cells(offsets: np.ndarray, counts) -> np.ndarray:
-    """(n, 3) cells ``(w, h, t)`` at raster ``offsets`` of a segment's grid of ``counts``.
-
-    A text run's counts are ``(n, 1, 1)``, so its cells are ``(k, 0, 0)``.
-    """
-    return np.stack(_cell(offsets, VideoGrid(*counts)), axis=1)
-
-
 def _segment_starts(segments) -> list[int]:
     """First row of each segment, then the layout's token count."""
     return [0, *itertools.accumulate(segment.token_count for segment in segments)]
 
 
-def _segment_slices(segments) -> list[slice]:
-    """Row range of each segment."""
-    return [slice(start, stop) for start, stop in itertools.pairwise(_segment_starts(segments))]
+def _blocks(layout: TokenLayout, start: int, stop: int):
+    """``(s, first row, cells, positions)`` of each block of rows ``[start, stop)``.
+
+    A block is one :func:`~ropelab.csvblock.row_blocks` range of segment
+    ``s``'s rows. Its (n, 3) cells ``(w, h, t)`` are raster cells of the grid
+    of ``counts[s]`` (a text run's are ``(k, 0, 0)``) and its (n, G)
+    positions are ``firsts[s] + cells @ steps[s]``; the walk keeps neither.
+    """
+    for index, (first, last) in enumerate(itertools.pairwise(_segment_starts(layout.segments))):
+        if first >= stop:
+            return
+        grid = VideoGrid(*layout.counts[index].tolist())
+        for rows in row_blocks(max(start, first), min(stop, last)):
+            # built in a helper, so no block stays bound here while the caller uses it
+            yield index, rows.start, *_block_arrays(layout, index, grid, rows, first)
+
+
+def _block_arrays(layout: TokenLayout, index: int, grid: VideoGrid, rows: range, first: int):
+    """(n, 3) cells and (n, G) positions of ``rows`` of segment ``index``, starting at row ``first``."""
+    cells = np.stack(_cell(np.arange(rows.start - first, rows.stop - first), grid), axis=1)
+    positions = cells @ layout.steps[index]
+    positions += layout.firsts[index]  # in place: no second (n, G) array
+    return cells, positions
 
 
 def video_text_boundaries(segments) -> list[int]:
@@ -348,27 +350,21 @@ LAYOUT_CSV_HEADER = "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim
 def layout_csv(layout: TokenLayout) -> str:
     """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
 
-    Rows are formatted a block of at most ``_CHUNK_ROWS`` at a time, each
-    block's cells and positions computed from its segment's grid
-    (``firsts[s] + cells @ steps[s]``); ``layout.positions`` is never filled.
-    The text grows with the tokens, so it takes the budget of ``positions``.
+    Rows are formatted a block at a time from the layout's block walk;
+    ``layout.positions`` is never filled. The text grows with the tokens, so
+    it takes the budget of ``positions``.
     """
-    _check_layout_budget(layout)
+    total = _check_layout_budget(layout)
     groups = layout.scheme.group_count
     dims = ",%d" * groups + "," * (4 - groups) + "\n"
     pieces = [LAYOUT_CSV_HEADER, "\n"]
-    counts = layout.counts.tolist()
-    for index, (segment, rows) in enumerate(zip(layout.segments, _segment_slices(layout.segments))):
-        video = isinstance(segment, VideoSegment)
+    for index, first, cells, positions in _blocks(layout, 0, total):
+        video = isinstance(layout.segments[index], VideoSegment)
+        columns = [range(first, first + len(cells)), *(cells.T.tolist() if video else ())]
+        columns += positions.T.tolist()
+        del cells, positions  # only the block's lists are held while it is formatted
         row_format = f"%d,video,{index},%d,%d,%d{dims}" if video else f"%d,text,{index},,,{dims}"
-        for start in range(rows.start, rows.stop, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, rows.stop)
-            cells = _grid_cells(np.arange(start - rows.start, stop - rows.start), counts[index])
-            columns = [range(start, stop)]
-            if video:
-                columns += cells.T.tolist()
-            columns += (cells @ layout.steps[index] + layout.firsts[index]).T.tolist()
-            pieces.append(format_block(row_format, columns))
+        pieces.append(format_block(row_format, columns))
     return "".join(pieces)
 
 
@@ -393,8 +389,10 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
             or other than the previous row's or one more on a later row, a
             row whose modality differs from its segment's first row, or a
             video segment whose rows do not walk its grid in raster order
-            (see :func:`_check_video_rows`). Messages name the 1-based CSV
-            row (the header is row 1).
+            (see :func:`_check_video_rows`), or rows that pass every check
+            but whose positions are no scheme's for the segments they
+            spell (see :func:`_check_positions`). Messages name the 1-based
+            CSV row (the header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -404,6 +402,7 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
     if ",".join(header) != LAYOUT_CSV_HEADER:
         raise LayoutParseError(f"unexpected layout CSV header: {','.join(header)!r}")
     tokens: list[LayoutToken] = []
+    segments: list[Segment] = []
     segment_start = 0  # token index of the current segment's first row
     for row_number, row in enumerate(reader, start=2):
         if len(row) != 10:
@@ -457,24 +456,25 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
                 f"row {row_number}: segment_index must be {previous} or {previous + 1}, got {segment}"
             )
         else:
-            _check_video_rows(tokens, segment_start)
+            segments.append(_check_video_rows(tokens, segment_start))
             segment_start = len(tokens)
         ordinal = None if modality == "video" else len(tokens) - segment_start
         tokens.append(LayoutToken(modality, segment, coord, ordinal, position))
     if tokens:
-        _check_video_rows(tokens, segment_start)
+        segments.append(_check_video_rows(tokens, segment_start))
+        _check_positions(tokens, segments)
     return tuple(tokens)
 
 
-def _check_video_rows(tokens: list[LayoutToken], first: int) -> None:
-    """Raise unless the segment ``tokens[first:]``, if video, walks one grid in raster order.
+def _check_video_rows(tokens: list[LayoutToken], first: int) -> Segment:
+    """The segment ``tokens[first:]`` spells; raise unless a video walks one grid in raster order.
 
     The grid is ``(max w + 1) x (max h + 1) x (max t + 1)`` over the
     segment's rows; row ``k`` must hold the grid's raster cell ``k``, and
     the rows must cover every cell. Token ``i`` is CSV row ``i + 2``.
     """
     if tokens[first].modality != "video":
-        return
+        return TextSegment(len(tokens) - first)
     cells = [(token.coord.w, token.coord.h, token.coord.t) for token in tokens[first:]]
     # a negative cell fails the row check; the floor only keeps the grid valid
     grid = VideoGrid(*(max(max(axis), 0) + 1 for axis in zip(*cells)))
@@ -492,3 +492,37 @@ def _check_video_rows(tokens: list[LayoutToken], first: int) -> None:
             f"row {first + 2}: video segment {segment} has {len(cells)} rows, "
             f"its {size} grid has {grid.token_count} cells"
         )
+    return VideoSegment(grid)
+
+
+def _check_positions(tokens: list[LayoutToken], segments: list[Segment]) -> None:
+    """Raise unless a scheme whose group count is the rows' dim count places every token there.
+
+    Positions do not depend on ``d``, the base or the partition, so ``d=8``
+    serves every scheme. The error names the row where the scheme that
+    matches the longest run of rows first differs.
+    """
+    misses = []
+    for scheme in SCHEME_IDS:
+        config = SchemeConfig(scheme, d=8)
+        if config.group_count == len(tokens[0].position):
+            layout = build_layout(segments, config)
+            row = next(_misplaced_rows(tokens, layout), None)
+            if row is None:
+                return
+            misses.append((row, layout))
+    row, layout = max(misses, key=lambda miss: miss[0])
+    dims = ",".join(map(str, tokens[row].position))
+    expected = ",".join(map(str, layout.tokens[row].position))
+    raise LayoutParseError(
+        f"row {row + 2}: dims {dims} are no scheme's; the nearest, {layout.scheme.scheme}, "
+        f"has {expected}"
+    )
+
+
+def _misplaced_rows(tokens: list[LayoutToken], layout: TokenLayout):
+    """Index of every token whose position differs from ``layout``'s, in order."""
+    for _, first, _, positions in _blocks(layout, 0, len(tokens)):
+        for row, position in enumerate(map(tuple, positions.tolist()), first):
+            if position != tokens[row].position:
+                yield row

@@ -1,5 +1,7 @@
 """CLI tests: golden outputs, exit codes, determinism, SVG rendering."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ropelab
 from ropelab import (
     SCHEME_IDS,
+    RopelabError,
     SchemeConfig,
     TextSegment,
     TrialConfig,
@@ -72,6 +77,15 @@ class TestPositions:
         assert rc == 0
         config = SchemeConfig("rope_compact", d=16, partition=(4, 2, 2))
         assert capsys.readouterr().out == layout_csv(build_layout(parse_layout_spec(spec), config))
+
+    def test_partition_accepted_for_rope2d(self, capsys):
+        rc = main(
+            ["positions", "--scheme", "rope2d", "--layout", "text:1", "--d", "8",
+             "--partition", "2:2"]
+        )
+        assert rc == 0
+        config = SchemeConfig("rope2d", d=8, partition=(2, 2))
+        assert capsys.readouterr().out == layout_csv(build_layout([TextSegment(1)], config))
 
     def test_byte_identical_across_runs(self, capsys):
         args = ["positions", "--scheme", "rope3d", "--layout", "video:2x3x2,text:2"]
@@ -254,6 +268,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {scheme} " in captured.err
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(SCHEME_IDS),
+        sizes=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    )
+    def test_partition_exits_0_iff_scheme_config_accepts(self, scheme, sizes):
+        try:
+            SchemeConfig(scheme, d=8, partition=sizes)
+            accepted = True
+        except RopelabError:
+            accepted = False
+        argv = ["positions", "--scheme", scheme, "--layout", "text:1", "--d", "8",
+                "--partition", ":".join(map(str, sizes))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if accepted:
+            assert rc == 0 and out.getvalue().startswith("token_index,")
+        else:
+            assert rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
+
     def test_incompatible_dimension_exits_2(self, capsys):
         rc = main(["positions", "--scheme", "vrope", "--layout", "text:1", "--d", "6"])
         assert rc == 2
@@ -264,6 +299,14 @@ class TestExitCodes:
         rc = main(["decay", "--d", "2", "--max-delta", "1", "--out", str(missing)])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_svg_exits_3_with_empty_stdout(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir" / "x.svg"
+        rc = main(["heatmap", "--scheme", "rope3d", "--video", "2x2x1", "--d", "8",
+                   "--svg", str(missing)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     @pytest.mark.parametrize("base", ["nan", "inf", "-inf"])
     def test_non_finite_base_exits_2(self, base, capsys):

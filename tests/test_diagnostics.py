@@ -34,7 +34,7 @@ from ropelab import (
     scheme_position,
     softmax_grid,
 )
-from ropelab import diagnostics, rotary
+from ropelab import csvblock, diagnostics, rotary
 from ropelab.schemes import text_start_after_video
 
 from oracles import (
@@ -174,7 +174,7 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, d)
         whole = decay_curve(schedule, 1000)
         for rows in (1, 7, 1000, 1001):
-            monkeypatch.setattr(diagnostics, "DECAY_CHUNK_ROWS", rows)
+            monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
             assert decay_curve(schedule, 1000) == whole
 
     def test_values_are_read_only_and_points_follow_them(self):
@@ -513,14 +513,14 @@ class TestCsvFormats:
         expected = "w,h,value\n" + "".join(
             f"{w},{h},{grid.values[w, h]:.6f}\n" for h in range(3) for w in range(5)
         )
-        monkeypatch.setattr(diagnostics, "HEATMAP_CHUNK_ROWS", rows)
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
         assert heatmap_csv(grid) == expected
 
     @pytest.mark.parametrize("rows", [1, 7, 1001])
     def test_decay_csv_block_size_does_not_change_bytes(self, rows, monkeypatch):
         curve = decay_curve(build_frequency_schedule(10000.0, 64), 1000)
         lines = [f"{delta},{value:.6f}\n" for delta, value in curve.points]
-        monkeypatch.setattr(diagnostics, "DECAY_CHUNK_ROWS", rows)
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
         assert first_line_difference(decay_csv(curve), "delta,value\n" + "".join(lines)) is None
 
     def test_decay_csv_frozen(self):

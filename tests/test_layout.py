@@ -322,6 +322,27 @@ class TestLayoutCsv:
         with pytest.raises(LayoutParseError, match="row 2: segment_index must be 0 on the first row"):
             parse_layout_csv(text)
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (
+                "0,text,0,,,,5,,,\n1,text,0,,,,-7,,,",
+                "row 2: dims 5 are no scheme's; the nearest, rope1d, has 0",
+            ),
+            (
+                "0,video,0,0,0,0,3,99,1,\n1,video,0,1,0,0,0,0,0,",
+                "row 2: dims 3,99,1 are no scheme's; the nearest, rope3d, has 0,0,0",
+            ),
+            (
+                "0,text,0,,,,0,0,0,0\n1,video,1,0,0,0,1,1,1,1\n2,text,2,,,,3,3,3,3",
+                "row 4: dims 3,3,3,3 are no scheme's; the nearest, vrope, has 2,2,2,2",
+            ),
+        ],
+    )
+    def test_positions_no_scheme_produces_are_rejected(self, rows, message):
+        with pytest.raises(LayoutParseError, match=message):
+            parse_layout_csv(LAYOUT_CSV_HEADER + "\n" + rows + "\n")
+
     def test_uses_lf_only(self):
         layout = build_layout([TextSegment(2)], _config("rope1d"))
         text = layout_csv(layout)

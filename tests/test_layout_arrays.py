@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ropelab import (
     SCHEME_IDS,
+    LayoutParseError,
     LayoutToken,
     SchemeConfig,
     TextSegment,
@@ -31,7 +32,7 @@ from ropelab import (
     parse_layout_spec,
     text_position,
 )
-from ropelab import layout as layout_module
+from ropelab import csvblock
 
 from oracles import first_line_difference, scheme_position_ref
 
@@ -170,6 +171,28 @@ def test_csv_round_trip(segments, config):
 
 
 @settings(max_examples=200, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS, data=st.data())
+def test_changing_one_dim_of_one_row_raises(segments, config, data):
+    lines = layout_csv(build_layout(segments, config)).splitlines(keepends=True)
+    row = data.draw(st.integers(1, len(lines) - 1))
+    cells = lines[row].rstrip("\n").split(",")
+    dim = data.draw(st.integers(6, 5 + config.group_count))
+    change = data.draw(st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)).filter(bool))
+    cells[dim] = str(int(cells[dim]) + change)
+    lines[row] = ",".join(cells) + "\n"
+    changed = "".join(lines)
+    # two schemes of one group count can differ in one row (rope1d and rope_share
+    # on text:1,video:1x1x1); such a change gives the other scheme's CSV, which parses
+    others = {layout_csv(build_layout(segments, SchemeConfig(s, d=8))) for s in SCHEME_IDS}
+    if changed in others:
+        assert parse_layout_csv(changed)
+        return
+    # the named row is where the scheme matching the most rows first differs
+    with pytest.raises(LayoutParseError, match="are no scheme's"):
+        parse_layout_csv(changed)
+
+
+@settings(max_examples=200, deadline=None)
 @given(segments=SEGMENTS, config=CONFIGS)
 def test_boundary_gaps_match_reference(segments, config):
     layout = build_layout(segments, config)
@@ -254,9 +277,13 @@ def test_scores_of_single_token_segments(spec, scheme):
 def test_row_chunk_size_does_not_change_csv_or_tokens(scheme, monkeypatch):
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=16))
     text, tokens = layout_csv(layout), tuple(layout.tokens)
-    monkeypatch.setattr(layout_module, "_CHUNK_ROWS", 5)
-    assert layout_csv(layout) == text
-    assert tuple(layout.tokens) == tokens == reference_tokens(layout.segments, layout.scheme)
+    reference = reference_tokens(layout.segments, layout.scheme)
+    for rows in (1, 7, 4096):
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+        fresh = build_layout(layout.segments, layout.scheme)  # positions is cached per layout
+        assert layout_csv(fresh) == text
+        assert tuple(fresh.tokens) == tokens == reference
+        assert fresh.positions.tolist() == [list(token.position) for token in reference]
 
 
 def reference_csv(tokens) -> str:
@@ -281,7 +308,7 @@ def test_csv_matches_per_row_reference_at_any_block_size(scheme, monkeypatch):
     config = SchemeConfig(scheme, d=16)
     expected = reference_csv(reference_tokens(segments, config))
     for rows in (1, 7, 4096):
-        monkeypatch.setattr(layout_module, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
         assert first_line_difference(layout_csv(build_layout(segments, config)), expected) is None
 
 
@@ -300,6 +327,8 @@ def test_arrays_are_read_only():
 def test_positions_are_filled_only_when_read(scheme):
     layout = build_layout(parse_layout_spec(SPEC), SchemeConfig(scheme, d=8))
     assert len(layout.tokens) == 48
+    assert layout.tokens[-1] == layout.tokens[47:][0] == list(layout.tokens)[-1]
+    assert layout.tokens[::5] == tuple(layout.tokens)[::5]
     boundary_score_table(layout)
     layout_csv(layout)
     boundary_gaps(layout)
