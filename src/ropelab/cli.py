@@ -87,6 +87,12 @@ def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_partition_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--partition", type=_partition_arg, help="channel pairs per position dim, e.g. 8:12:12"
+    )
+
+
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", help="output path; '-' or omitted writes stdout")
 
@@ -101,8 +107,8 @@ def _write(path: str, text: str) -> None:
 
 def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
     scheme = scheme if scheme is not None else args.scheme
-    partition = getattr(args, "partition", None)  # SchemeConfig decides which schemes take one
-    return SchemeConfig(scheme, d=args.d, base=args.base, partition=partition)
+    # SchemeConfig decides which schemes take a partition
+    return SchemeConfig(scheme, d=args.d, base=args.base, partition=args.partition)
 
 
 def _cmd_positions(args) -> int:
@@ -171,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     positions.add_argument(
         "--layout", required=True, help='layout spec, e.g. "text:2,video:2x2x1,text:1"'
     )
-    positions.add_argument(
-        "--partition", type=_partition_arg, help="channel pairs per position dim, e.g. 8:12:12"
-    )
+    _add_partition_flag(positions)
     _add_numeric_flags(positions)
     _add_out_flag(positions)
     positions.set_defaults(func=_cmd_positions)
@@ -188,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="query = first post-video text position plus gap-1 (default 1)",
     )
-    heat.add_argument(
-        "--partition", type=_partition_arg, help="channel pairs per position dim, e.g. 8:12:12"
-    )
+    _add_partition_flag(heat)
     heat.add_argument("--svg", help="also render the grid to this SVG path")
     heat.add_argument("--mc", action="store_true", help="Monte-Carlo estimate instead of closed form")
     heat.add_argument("--seed", type=_int_arg, default=0, help="Monte-Carlo master seed (default 0)")
@@ -211,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     boundary = sub.add_parser("boundary", help="video-text boundary score table")
     boundary.add_argument("--scheme", choices=SCHEME_IDS + ("all",), required=True)
     boundary.add_argument("--video", type=_video_arg, required=True, help="grid as WxHxT")
+    _add_partition_flag(boundary)  # with --scheme all, every scheme gets it
     _add_numeric_flags(boundary)
     _add_out_flag(boundary)
     boundary.set_defaults(func=_cmd_boundary)

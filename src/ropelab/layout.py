@@ -5,7 +5,10 @@ A layout spec is a comma-separated list of segments, e.g.
 insignificant. :func:`build_layout` resolves each segment under a scheme,
 continuation rules included, into an affine grid, from which the per-token
 ``positions`` are filled when first read; the fill, the ``tokens`` view
-and :func:`layout_csv` all read one walk over the grids' blocks of rows.
+and :func:`layout_csv` all read one walk over the grids' blocks of rows,
+which cuts every frame of a video at the same in-frame rows, if at all.
+:func:`layout_csv` writes a video's rows from row templates built once
+per segment and in-frame row range, filled per frame.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvblock import format_block, row_blocks
+from .csvblock import fill_rows, format_block, row_blocks
 from .errors import LayoutParseError, ParameterError
 from .rotary import check_array_budget
 from .schemes import (
@@ -297,22 +300,26 @@ def _blocks(layout: TokenLayout, start: int, stop: int):
     """``(s, first row, cells, positions)`` of each block of rows ``[start, stop)``.
 
     A block is one :func:`~ropelab.csvblock.row_blocks` range of segment
-    ``s``'s rows. Its (n, 3) cells ``(w, h, t)`` are raster cells of the grid
-    of ``counts[s]`` (a text run's are ``(k, 0, 0)``) and its (n, G)
-    positions are ``firsts[s] + cells @ steps[s]``; the walk keeps neither.
+    ``s``'s rows, with the grid's ``W*H``-cell frames as frames (a text run
+    is one frame): whole frames, or one in-frame row range that every frame
+    of the segment is cut at alike. Its (n, 3) cells ``(w, h, t)`` are
+    raster cells of the grid of ``counts[s]`` (a text run's are
+    ``(k, 0, 0)``) and its (n, G) positions are
+    ``firsts[s] + cells @ steps[s]``; the walk keeps neither.
     """
     for index, (first, last) in enumerate(itertools.pairwise(_segment_starts(layout.segments))):
         if first >= stop:
             return
         grid = VideoGrid(*layout.counts[index].tolist())
-        for rows in row_blocks(max(start, first), min(stop, last)):
+        frame = grid.tokens_per_frame
+        for rows in row_blocks(max(start, first) - first, min(stop, last) - first, frame):
             # built in a helper, so no block stays bound here while the caller uses it
-            yield index, rows.start, *_block_arrays(layout, index, grid, rows, first)
+            yield index, first + rows.start, *_block_arrays(layout, index, grid, rows)
 
 
-def _block_arrays(layout: TokenLayout, index: int, grid: VideoGrid, rows: range, first: int):
-    """(n, 3) cells and (n, G) positions of ``rows`` of segment ``index``, starting at row ``first``."""
-    cells = np.stack(_cell(np.arange(rows.start - first, rows.stop - first), grid), axis=1)
+def _block_arrays(layout: TokenLayout, index: int, grid: VideoGrid, rows: range):
+    """(n, 3) cells and (n, G) positions of ``rows``, counted from 0, of segment ``index``."""
+    cells = np.stack(_cell(np.arange(rows.start, rows.stop), grid), axis=1)
     positions = cells @ layout.steps[index]
     positions += layout.firsts[index]  # in place: no second (n, G) array
     return cells, positions
@@ -351,21 +358,92 @@ def layout_csv(layout: TokenLayout) -> str:
     """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
 
     Rows are formatted a block at a time from the layout's block walk;
-    ``layout.positions`` is never filled. The text grows with the tokens, so
+    ``layout.positions`` is never filled. A text block is one ``%`` over its
+    repeated row format; a video block is filled from its segment's row
+    templates (see :class:`_VideoRows`). The text grows with the tokens, so
     it takes the budget of ``positions``.
     """
     total = _check_layout_budget(layout)
     groups = layout.scheme.group_count
-    dims = ",%d" * groups + "," * (4 - groups) + "\n"
+    end = "," * (4 - groups) + "\n"
+    dims = ",%d" * groups + end
     pieces = [LAYOUT_CSV_HEADER, "\n"]
+    video = None  # the current video segment's _VideoRows
     for index, first, cells, positions in _blocks(layout, 0, total):
-        video = isinstance(layout.segments[index], VideoSegment)
-        columns = [range(first, first + len(cells)), *(cells.T.tolist() if video else ())]
-        columns += positions.T.tolist()
-        del cells, positions  # only the block's lists are held while it is formatted
-        row_format = f"%d,video,{index},%d,%d,%d{dims}" if video else f"%d,text,{index},,,{dims}"
-        pieces.append(format_block(row_format, columns))
+        if isinstance(layout.segments[index], TextSegment):
+            columns = [range(first, first + len(cells)), *positions.T.tolist()]
+            del cells, positions  # only the block's lists are held while it is formatted
+            pieces.append(format_block(f"%d,text,{index},,,{dims}", columns))
+            continue
+        if video is None or video.index != index:
+            video = _VideoRows(layout, index, end)
+        values = np.concatenate((cells, positions), axis=1)  # columns w, h, t, dim0..
+        del cells, positions
+        pieces.append(video.block(first, values))
     return "".join(pieces)
+
+
+class _VideoRows:
+    """The CSV rows of one video segment, filled from row templates built once per segment.
+
+    A video row's columns ``w, h, t, dim0..`` are each affine in the cell
+    ``(w, h, t)``, with unit steps for the cell's own columns and the
+    segment's ``steps`` for the dims; which of a column's w, h and t steps
+    are zero decides how it is written:
+
+    - no t-step: the same in every frame, so it is literal text in the
+      template of the frame's row range, built once per segment and range;
+    - only a t-step: one value per frame, written into a copy of the
+      template by one ``str.replace`` of a sentinel per run of adjacent such
+      columns (``t`` is always one);
+    - otherwise: a ``%d`` field, filled per row, as is ``token_index``.
+    """
+
+    def __init__(self, layout: TokenLayout, index: int, end: str):
+        steps = np.concatenate((np.identity(3, dtype=np.int64), layout.steps[index]), axis=1)
+        kinds = np.where(steps[2] == 0, "baked", np.where(steps[:2].any(axis=0), "row", "frame"))
+        fields = []
+        self.index = index
+        self.baked: list[int] = []  # columns written into the template
+        self.runs: list[list[int]] = []  # runs of adjacent per-frame columns, one per sentinel
+        self.varying: list[int] = []  # columns filled per row
+        for column, kind in enumerate(kinds.tolist()):
+            if kind == "baked":
+                self.baked.append(column)
+                fields.append("%d")  # filled when the template is built
+            elif kind == "row":
+                self.varying.append(column)
+                fields.append("%%d")  # left as a field in the template
+            elif self.runs and self.runs[-1][-1] == column - 1:
+                self.runs[-1].append(column)
+            else:
+                fields.append(chr(len(self.runs)))  # no row text holds a control character
+                self.runs.append([column])
+        self.row_format = f"%%d,video,{index}," + ",".join(fields) + end
+        self.frame = int(layout.counts[index, 0] * layout.counts[index, 1])
+        self.templates: dict[tuple[int, int, int], str] = {}
+
+    def block(self, first: int, values: np.ndarray) -> str:
+        """The rows of one block, row ``first`` onwards, whose (n, 3 + G) columns are ``values``.
+
+        A block is whole frames or one in-frame row range (see
+        :func:`_blocks`), so its first ``rows`` rows span one frame's part
+        and every later frame of the block repeats their cells.
+        """
+        rows = min(len(values), self.frame)
+        key = (*values[0, :2].tolist(), rows)  # the range's first (w, h) and length
+        template = self.templates.get(key)
+        if template is None:
+            template = format_block(self.row_format, values[:rows, self.baked].T.tolist())
+            self.templates[key] = template
+        frames = [template] * (len(values) // rows)
+        for sentinel, run in enumerate(self.runs):
+            # each frame's text for the run, all formatted by one %
+            run_format = ",".join(["%d"] * len(run)) + "\n"
+            texts = format_block(run_format, values[::rows, run].T.tolist()).split("\n")
+            frames = [text.replace(chr(sentinel), value) for text, value in zip(frames, texts)]
+        columns = [range(first, first + len(values)), *values[:, self.varying].T.tolist()]
+        return fill_rows("".join(frames), columns)
 
 
 _CSV_INT_RE = re.compile(r"-?[0-9]+")

@@ -122,6 +122,9 @@ def rotate(x, angles) -> np.ndarray:
     bit the pair formula's, signed zeros included: the kernel's
     ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE arithmetic, and
     ``b*cos + a*sin`` is ``a*sin + b*cos``.
+
+    Raises ParameterError, before anything is allocated, if the broadcast
+    result has more than the element budget's values.
     """
     x = np.asarray(x, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -142,6 +145,8 @@ def rotate(x, angles) -> np.ndarray:
         raise DimensionError(
             f"leading axes of x {x.shape} and angles {angles.shape} do not broadcast"
         ) from None
+    # the result; the factors, each shaped like angles with d values per pair, fit within it
+    check_array_budget(math.prod(lead) * d, f"a rotation to shape {lead + (d,)}")
     cos2, sin2 = rotation_factors(angles)
     return rotate_into(x, cos2, sin2, np.empty(lead + (d,), dtype=np.float64))
 

@@ -29,8 +29,10 @@ from ropelab import (
     parse_layout_spec,
     VideoGrid,
     VideoSegment,
+    boundary_csv,
+    boundary_score_table,
 )
-from ropelab.cli import _heatmap_query, main
+from ropelab.cli import BOUNDARY_PROMPT_TOKENS, _heatmap_query, main
 
 POSITIONS_GOLDEN = (
     "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim3\n"
@@ -222,6 +224,31 @@ class TestBoundary:
         assert len(lines) == 1 + 2 * len(SCHEME_IDS)
         schemes = [line.split(",")[0] for line in lines[1:]]
         assert schemes == [s for s in SCHEME_IDS for _ in range(2)]
+
+
+    # a cubic grid such as 2x2x2 scores the same under every rope3d partition,
+    # since its t, h and w offsets take the same values, so only 4x3x2 can differ
+    @pytest.mark.parametrize("video", [(2, 2, 2), (4, 3, 2)])
+    def test_partition_reaches_the_score_table(self, video, capsys):
+        argv = ["boundary", "--scheme", "rope3d", "--video", "x".join(map(str, video))]
+        video_segment = VideoSegment(VideoGrid(*video))
+        segments = [TextSegment(BOUNDARY_PROMPT_TOKENS), video_segment, TextSegment(1)]
+        outputs = []
+        for partition in (None, (16, 8, 8)):
+            flag = [] if partition is None else ["--partition", "16:8:8"]
+            assert main(argv + flag) == 0
+            outputs.append(capsys.readouterr().out)
+            config = SchemeConfig("rope3d", d=64, partition=partition)
+            assert outputs[-1] == boundary_csv(boundary_score_table(build_layout(segments, config)))
+        if video == (4, 3, 2):
+            assert outputs[1] != outputs[0]
+
+    def test_partition_with_all_schemes_exits_2(self, capsys):
+        # every scheme gets the partition, and vrope takes none
+        rc = main(["boundary", "--scheme", "all", "--video", "2x2x2", "--partition", "16:8:8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestSelfcheck:

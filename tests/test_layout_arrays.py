@@ -300,16 +300,36 @@ def reference_csv(tokens) -> str:
 # a text run and two videos longer than one 4096-row block, so both kinds of
 # segment straddle a block edge at every block size tested
 LONG_SPEC = "text:4100,video:3x2x2,text:2,video:64x8x9,text:1,video:4099x1x1"
+# two frames of 4225 cells each: every block size tested cuts each frame into
+# row ranges, one template per range, and a 4096-row block of rows would cross
+# the frame edge
+TWO_FRAME_SPEC = "text:3,video:65x65x2,text:1"
 
 
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_csv_matches_per_row_reference_at_any_block_size(scheme, monkeypatch):
-    segments = parse_layout_spec(LONG_SPEC)
     config = SchemeConfig(scheme, d=16)
-    expected = reference_csv(reference_tokens(segments, config))
-    for rows in (1, 7, 4096):
-        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
-        assert first_line_difference(layout_csv(build_layout(segments, config)), expected) is None
+    for spec in (LONG_SPEC, TWO_FRAME_SPEC):
+        segments = parse_layout_spec(spec)
+        expected = reference_csv(reference_tokens(segments, config))
+        for rows in (1, 7, 4096):
+            monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+            text = layout_csv(build_layout(segments, config))
+            assert first_line_difference(text, expected) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=SEGMENTS)
+def test_csv_matches_per_row_reference_for_every_scheme(segments):
+    # 5 rows per block divides none of the generated frames (W, H <= 4), so a
+    # frame of more cells is cut into ranges and a smaller one shares a block
+    for scheme in SCHEME_IDS:
+        config = SchemeConfig(scheme, d=16)
+        expected = reference_csv(reference_tokens(segments, config))
+        for rows in (1, 5, 4096):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(csvblock, "BLOCK_ROWS", rows)
+                assert layout_csv(build_layout(segments, config)) == expected
 
 
 def test_arrays_are_read_only():

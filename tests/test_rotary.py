@@ -213,6 +213,17 @@ class TestRotate:
         with pytest.raises(DimensionError):
             rotate(np.ones(x_shape), np.zeros(angles_shape))
 
+    def test_result_over_array_budget(self, monkeypatch):
+        monkeypatch.setattr(rotary, "MAX_ARRAY_ELEMENTS", 64)
+        assert rotate(np.ones(8), np.zeros((8, 4))).shape == (8, 8)  # 64 values fit
+        factors = []
+        monkeypatch.setattr(rotary, "rotation_factors", factors.append)
+        # 9 x 8 values from the angles' axis; 3 x 3 x 8 from axes of both operands
+        for x_shape, angles_shape in (((8,), (9, 4)), ((3, 1, 8), (1, 3, 4))):
+            with pytest.raises(ParameterError, match="budget"):
+                rotate(np.ones(x_shape), np.zeros(angles_shape))
+        assert factors == []  # refused before any factor array is made
+
     def test_input_left_unchanged(self):
         x = np.arange(8.0).reshape(2, 4)
         angles = np.ones((2, 2))
