@@ -15,9 +15,8 @@ boundary.
 
 from __future__ import annotations
 
-import csv
+import bisect
 import functools
-import io
 import itertools
 import re
 from collections.abc import Sequence
@@ -363,24 +362,29 @@ def layout_csv(layout: TokenLayout) -> str:
     templates (see :class:`_VideoRows`). The text grows with the tokens, so
     it takes the budget of ``positions``.
     """
-    total = _check_layout_budget(layout)
+    _check_layout_budget(layout)
+    return "".join(_csv_pieces(layout))
+
+
+def _csv_pieces(layout: TokenLayout):
+    """:func:`layout_csv`'s header line, then each block's rows; unbudgeted, so readers can stop."""
     groups = layout.scheme.group_count
     end = "," * (4 - groups) + "\n"
     dims = ",%d" * groups + end
-    pieces = [LAYOUT_CSV_HEADER, "\n"]
+    total = _segment_starts(layout.segments)[-1]
+    yield LAYOUT_CSV_HEADER + "\n"
     video = None  # the current video segment's _VideoRows
     for index, first, cells, positions in _blocks(layout, 0, total):
         if isinstance(layout.segments[index], TextSegment):
             columns = [range(first, first + len(cells)), *positions.T.tolist()]
             del cells, positions  # only the block's lists are held while it is formatted
-            pieces.append(format_block(f"%d,text,{index},,,{dims}", columns))
+            yield format_block(f"%d,text,{index},,,{dims}", columns)
             continue
         if video is None or video.index != index:
             video = _VideoRows(layout, index, end)
         values = np.concatenate((cells, positions), axis=1)  # columns w, h, t, dim0..
         del cells, positions
-        pieces.append(video.block(first, values))
-    return "".join(pieces)
+        yield video.block(first, values)
 
 
 class _VideoRows:
@@ -447,6 +451,8 @@ class _VideoRows:
 
 
 _CSV_INT_RE = re.compile(r"-?[0-9]+")
+# every cell layout_csv writes: empty, a modality, or an integer in its one spelling
+_CANONICAL_CELL_RE = re.compile(r"|text|video|0|-?[1-9][0-9]*")
 
 
 def _csv_int(cell: str, column: str, row_number: int) -> int:
@@ -455,34 +461,28 @@ def _csv_int(cell: str, column: str, row_number: int) -> int:
     return int(cell)
 
 
-def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
-    """Reconstruct the token sequence from a layout CSV produced by :func:`layout_csv`.
+def parse_layout_csv(text: str) -> LayoutTokens:
+    """The ``tokens`` view of the layout whose :func:`layout_csv` is ``text``.
+
+    The rows spell the segments (text runs, and video grids of ``(max w + 1)
+    x (max h + 1) x (max t + 1)`` cells), rendered under each scheme of the
+    rows' dim count in ``SCHEME_IDS`` order at ``d=8`` (positions do not depend
+    on ``d``, the base or the partition) until one rendering equals ``text``.
 
     Raises:
-        LayoutParseError: on a foreign header, a wrong column count, an
-            unknown modality, an empty or non-integer cell where a number
-            belongs, a ``token_index`` other than the row's 0-based index,
-            a text row with a w/h/t cell filled, a row whose dim count
-            differs from row 2's, a ``segment_index`` other than 0 on row 2
-            or other than the previous row's or one more on a later row, a
-            row whose modality differs from its segment's first row, or a
-            video segment whose rows do not walk its grid in raster order
-            (see :func:`_check_video_rows`), or rows that pass every check
-            but whose positions are no scheme's for the segments they
-            spell (see :func:`_check_positions`). Messages name the 1-based
-            CSV row (the header is row 1).
+        LayoutParseError: naming the CSV row (the header is row 1): cell errors
+            first, in row order, then the row :func:`_difference_error` names.
+            A header alone spells no layout.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LayoutParseError("empty layout CSV") from None
-    if ",".join(header) != LAYOUT_CSV_HEADER:
-        raise LayoutParseError(f"unexpected layout CSV header: {','.join(header)!r}")
-    tokens: list[LayoutToken] = []
-    segments: list[Segment] = []
-    segment_start = 0  # token index of the current segment's first row
-    for row_number, row in enumerate(reader, start=2):
+    # the writer quotes nothing, so a row is a line and its cells are split at commas
+    header, *rows = text.split("\n")
+    if rows[-1:] == [""]:
+        rows.pop()  # after the final line end
+    if header != LAYOUT_CSV_HEADER:
+        raise LayoutParseError(f"row 1: unexpected layout CSV header: {header!r}")
+    firsts: list[int] = []  # CSV row of each segment's first row
+    spans: list[list[int] | None] = []  # each video segment's largest w, h, t; None for text
+    for row_number, row in enumerate((line.split(",") for line in rows), start=2):
         if len(row) != 10:
             raise LayoutParseError(
                 f"row {row_number}: expected 10 columns, got {len(row)}: {row!r}"
@@ -496,111 +496,108 @@ def parse_layout_csv(text: str) -> tuple[LayoutToken, ...]:
         used = dims.index("") if "" in dims else len(dims)
         if any(dims[used:]):
             raise LayoutParseError(f"row {row_number}: dim{used} is empty before a filled dim")
-        position = tuple(
-            _csv_int(v, f"dim{i}", row_number) for i, v in enumerate(dims[: max(used, 1)])
-        )
-        coord = None
+        for i, v in enumerate(dims[: max(used, 1)]):
+            _csv_int(v, f"dim{i}", row_number)
+        cell = None
         if modality == "video":
-            coord = TokenCoordinate(
-                *(_csv_int(cell, name, row_number) for cell, name in ((w, "w"), (h, "h"), (t, "t")))
-            )
+            cell = [_csv_int(v, name, row_number) for v, name in ((w, "w"), (h, "h"), (t, "t"))]
         # row consistency, checked once every cell has parsed
-        if index != len(tokens):
+        if index != row_number - 2:
             raise LayoutParseError(
-                f"row {row_number}: token_index must be {len(tokens)}, got {index}"
+                f"row {row_number}: token_index must be {row_number - 2}, got {index}"
             )
         if modality == "text" and (w or h or t):
             raise LayoutParseError(
                 f"row {row_number}: w/h/t must be empty on a text row, got {','.join((w, h, t))!r}"
             )
-        if tokens and len(position) != len(tokens[0].position):
+        if row_number == 2:
+            dim_count = used
+        elif used != dim_count:
+            raise LayoutParseError(f"row {row_number}: has {used} dims, row 2 has {dim_count}")
+        current = len(firsts) - 1
+        if segment == current + 1:
+            firsts.append(row_number)
+            spans.append(cell)
+        elif segment != current or not firsts:
+            allowed = f"{current} or {current + 1}" if firsts else "0 on the first row"
             raise LayoutParseError(
-                f"row {row_number}: has {len(position)} dims, row 2 has {len(tokens[0].position)}"
+                f"row {row_number}: segment_index must be {allowed}, got {segment}"
             )
-        if not tokens:
-            if segment != 0:
-                raise LayoutParseError(
-                    f"row {row_number}: segment_index must be 0 on the first row, got {segment}"
-                )
-        elif segment == tokens[-1].segment_index:
-            if modality != tokens[-1].modality:
-                raise LayoutParseError(
-                    f"row {row_number}: modality {modality} differs from segment {segment}'s "
-                    f"first row, {tokens[-1].modality}"
-                )
-        elif segment != tokens[-1].segment_index + 1:
-            previous = tokens[-1].segment_index
+        elif modality != (first_modality := "video" if spans[current] else "text"):
             raise LayoutParseError(
-                f"row {row_number}: segment_index must be {previous} or {previous + 1}, got {segment}"
+                f"row {row_number}: modality {modality} differs from segment {segment}'s "
+                f"first row, {first_modality}"
             )
-        else:
-            segments.append(_check_video_rows(tokens, segment_start))
-            segment_start = len(tokens)
-        ordinal = None if modality == "video" else len(tokens) - segment_start
-        tokens.append(LayoutToken(modality, segment, coord, ordinal, position))
-    if tokens:
-        segments.append(_check_video_rows(tokens, segment_start))
-        _check_positions(tokens, segments)
-    return tuple(tokens)
-
-
-def _check_video_rows(tokens: list[LayoutToken], first: int) -> Segment:
-    """The segment ``tokens[first:]`` spells; raise unless a video walks one grid in raster order.
-
-    The grid is ``(max w + 1) x (max h + 1) x (max t + 1)`` over the
-    segment's rows; row ``k`` must hold the grid's raster cell ``k``, and
-    the rows must cover every cell. Token ``i`` is CSV row ``i + 2``.
-    """
-    if tokens[first].modality != "video":
-        return TextSegment(len(tokens) - first)
-    cells = [(token.coord.w, token.coord.h, token.coord.t) for token in tokens[first:]]
-    # a negative cell fails the row check; the floor only keeps the grid valid
-    grid = VideoGrid(*(max(max(axis), 0) + 1 for axis in zip(*cells)))
-    segment = tokens[first].segment_index
-    size = f"{grid.width}x{grid.height}x{grid.frames}"
-    for k, cell in enumerate(cells):
-        expected = _cell(k, grid)
-        if cell != expected:
-            raise LayoutParseError(
-                f"row {first + k + 2}: w/h/t {'%d,%d,%d' % cell} out of raster order; "
-                f"cell {k} of segment {segment}'s {size} grid is {'%d,%d,%d' % expected}"
-            )
-    if len(cells) != grid.token_count:
-        raise LayoutParseError(
-            f"row {first + 2}: video segment {segment} has {len(cells)} rows, "
-            f"its {size} grid has {grid.token_count} cells"
-        )
-    return VideoSegment(grid)
-
-
-def _check_positions(tokens: list[LayoutToken], segments: list[Segment]) -> None:
-    """Raise unless a scheme whose group count is the rows' dim count places every token there.
-
-    Positions do not depend on ``d``, the base or the partition, so ``d=8``
-    serves every scheme. The error names the row where the scheme that
-    matches the longest run of rows first differs.
-    """
+        elif cell:
+            spans[current] = list(map(max, spans[current], cell))
+    if not firsts:
+        raise LayoutParseError("row 2: a layout CSV needs a row after its header")
+    firsts.append(row_number + 1)
+    # a negative cell differs from the rendering; the floor only keeps the grid valid
+    segments = [
+        VideoSegment(VideoGrid(*(max(v, 0) + 1 for v in span))) if span else TextSegment(b - a)
+        for (a, b), span in zip(itertools.pairwise(firsts), spans)
+    ]
     misses = []
     for scheme in SCHEME_IDS:
         config = SchemeConfig(scheme, d=8)
-        if config.group_count == len(tokens[0].position):
+        if config.group_count != dim_count:
+            continue
+        try:
             layout = build_layout(segments, config)
-            row = next(_misplaced_rows(tokens, layout), None)
-            if row is None:
-                return
-            misses.append((row, layout))
-    row, layout = max(misses, key=lambda miss: miss[0])
-    dims = ",".join(map(str, tokens[row].position))
-    expected = ",".join(map(str, layout.tokens[row].position))
-    raise LayoutParseError(
-        f"row {row + 2}: dims {dims} are no scheme's; the nearest, {layout.scheme.scheme}, "
-        f"has {expected}"
+        except ParameterError:
+            # only a grid with more cells than the CSV has rows takes a layout over budget
+            raise _row_count_error(segments, firsts) from None
+        offset, row = 0, 1
+        for expected in (line for piece in _csv_pieces(layout) for line in piece.splitlines(True)):
+            if not text.startswith(expected, offset):
+                break
+            offset, row = offset + len(expected), row + 1
+        else:
+            if offset == len(text):
+                return layout.tokens
+            expected = ""  # the text goes on past the rendering
+        got = text[offset : text.find("\n", offset) + 1 or len(text)]
+        misses.append((row, expected, got, layout))
+    raise _difference_error(*max(misses, key=lambda miss: miss[0]), firsts)
+
+
+def _difference_error(
+    row: int, expected: str, got: str, layout: TokenLayout, firsts: list[int]
+) -> LayoutParseError:
+    """The error for CSV row ``row``, the first where the text differs from ``layout_csv(layout)``.
+
+    The row's line is ``expected`` there and ``got`` in the text, empty past an end; ``firsts``
+    holds the CSV row of each segment's first row in the text, then one past the last row.
+    """
+    in_text = bisect.bisect_right(firsts, row) - 1 if got else len(firsts)
+    starts = _segment_starts(layout.segments)
+    in_rendering = bisect.bisect_right(starts, row - 2) - 1 if expected else len(starts)
+    if in_text != in_rendering:  # a video segment's rows end before or after its grid's cells
+        return _row_count_error(layout.segments, firsts)
+    cells, want = got.rstrip("\n").split(","), expected.rstrip("\n").split(",")
+    # cells spelled as the writer spells them differ in value; a respelling (01, -0) is shown whole
+    if all(_CANONICAL_CELL_RE.fullmatch(cell) for cell in cells):
+        if cells[3:6] != want[3:6]:
+            grid = layout.segments[in_text].grid
+            return LayoutParseError(
+                f"row {row}: w/h/t {','.join(cells[3:6])} out of raster order; "
+                f"cell {row - firsts[in_text]} of segment {in_text}'s "
+                f"{grid.width}x{grid.height}x{grid.frames} grid is {','.join(want[3:6])}"
+            )
+        if cells[6:] != want[6:]:
+            return LayoutParseError(
+                f"row {row}: dims {','.join(filter(None, cells[6:]))} are no scheme's; "
+                f"the nearest, {layout.scheme.scheme}, has {','.join(filter(None, want[6:]))}"
+            )
+    return LayoutParseError(f"row {row}: expected {expected!r}, got {got!r}")
+
+
+def _row_count_error(segments, firsts: list[int]) -> LayoutParseError:
+    """The error for the first video segment whose rows in the text do not fill its grid."""
+    rows = [last - first for first, last in itertools.pairwise(firsts)]
+    s, grid = next((s, seg.grid) for s, seg in enumerate(segments) if seg.token_count != rows[s])
+    return LayoutParseError(
+        f"row {firsts[s]}: video segment {s} has {rows[s]} rows, "
+        f"its {grid.width}x{grid.height}x{grid.frames} grid has {grid.token_count} cells"
     )
-
-
-def _misplaced_rows(tokens: list[LayoutToken], layout: TokenLayout):
-    """Index of every token whose position differs from ``layout``'s, in order."""
-    for _, first, _, positions in _blocks(layout, 0, len(tokens)):
-        for row, position in enumerate(map(tuple, positions.tolist()), first):
-            if position != tokens[row].position:
-                yield row

@@ -1,5 +1,7 @@
 """Tests for layout parsing, position resolution, boundary gaps, and the CSV format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,10 +271,10 @@ class TestLayoutCsv:
 
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_round_trip(self, scheme):
-        layout = build_layout(
-            parse_layout_spec("text:2,video:3x2x2,text:2,video:1x1x1,text:1"), _config(scheme)
-        )
-        assert parse_layout_csv(layout_csv(layout)) == layout.tokens
+        # 65x65 frames are cut into in-frame blocks of csvblock.BLOCK_ROWS rows
+        for spec in ("text:2,video:3x2x2,text:2,video:1x1x1,text:1", "text:3,video:65x65x2,text:1"):
+            layout = build_layout(parse_layout_spec(spec), _config(scheme))
+            assert parse_layout_csv(layout_csv(layout)) == layout.tokens
 
     def test_rejects_foreign_header(self):
         with pytest.raises(LayoutParseError):
@@ -337,11 +339,50 @@ class TestLayoutCsv:
                 "0,text,0,,,,0,0,0,0\n1,video,1,0,0,0,1,1,1,1\n2,text,2,,,,3,3,3,3",
                 "row 4: dims 3,3,3,3 are no scheme's; the nearest, vrope, has 2,2,2,2",
             ),
+            # a dims fault on row 3 comes before the raster fault on row 4
+            (
+                "0,text,0,,,,0,,,\n1,video,1,0,0,0,9,,,\n2,video,1,0,1,0,2,,,\n"
+                "3,video,1,1,0,0,3,,,\n4,video,1,1,1,0,4,,,",
+                "row 3: dims 9 are no scheme's; the nearest, rope1d, has 1",
+            ),
         ],
     )
     def test_positions_no_scheme_produces_are_rejected(self, rows, message):
         with pytest.raises(LayoutParseError, match=message):
             parse_layout_csv(LAYOUT_CSV_HEADER + "\n" + rows + "\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (GOLDEN.replace("\n", "\r\n"), "row 1: unexpected layout CSV header"),
+            (GOLDEN[:-1], r"row 8: expected '6,text,2,,,,5,5,5,5\\n', got '6,text,2,,,,5,5,5,5'"),
+            (GOLDEN.replace("\n2,video,", '\n2,"video",'), "row 4: unknown modality"),
+            (GOLDEN.replace("\n3,video,1,1,", "\n3,video,1,01,"), "row 5: expected"),
+            (GOLDEN.replace("\n0,text,0,,,,0,", "\n0,text,0,,,,-0,"), "row 2: expected"),
+            (LAYOUT_CSV_HEADER + "\n", "row 2: a layout CSV needs a row after its header"),
+        ],
+        ids=["crlf", "no-final-lf", "quoted-cell", "leading-zero", "minus-zero", "header-only"],
+    )
+    def test_non_canonical_spellings_are_rejected(self, text, message):
+        with pytest.raises(LayoutParseError, match=message):
+            parse_layout_csv(text)
+
+    def test_huge_grid_fails_at_its_first_block(self):
+        # one row spells a 20,000,001-cell grid; rendering it whole would take about 600 MB
+        text = LAYOUT_CSV_HEADER + "\n0,video,0,20000000,0,0,0,,,\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(LayoutParseError, match="row 2: w/h/t 20000000,0,0 out of raster"):
+                parse_layout_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_grid_over_the_layout_budget_names_its_segment(self):
+        text = LAYOUT_CSV_HEADER + f"\n0,text,0,,,,0,,,\n1,video,1,{10**30},0,0,1,,,\n"
+        with pytest.raises(LayoutParseError, match="row 3: video segment 1 has 1 rows"):
+            parse_layout_csv(text)
 
     def test_uses_lf_only(self):
         layout = build_layout([TextSegment(2)], _config("rope1d"))

@@ -6,6 +6,7 @@ rules documented on ``build_layout``, so it shares neither the package's
 array code nor its position map.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,39 @@ def test_changing_one_dim_of_one_row_raises(segments, config, data):
     # the named row is where the scheme matching the most rows first differs
     with pytest.raises(LayoutParseError, match="are no scheme's"):
         parse_layout_csv(changed)
+
+
+def spelled_segments(tokens):
+    """The segments a token sequence spells: text run lengths, each video's grid from its cells."""
+    segments = []
+    for _, run in itertools.groupby(tokens, key=lambda token: token.segment_index):
+        run = list(run)
+        if run[0].modality == "text":
+            segments.append(TextSegment(len(run)))
+        else:
+            cells = [(token.coord.w, token.coord.h, token.coord.t) for token in run]
+            segments.append(VideoSegment(VideoGrid(*(max(axis) + 1 for axis in zip(*cells)))))
+    return segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=SEGMENTS, config=CONFIGS, data=st.data())
+def test_one_character_edit_raises_or_round_trips(segments, config, data):
+    text = layout_csv(build_layout(segments, config))
+    edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+    at = data.draw(st.integers(0, len(text) if edit == "insert" else len(text) - 1))
+    char = data.draw(st.sampled_from("0123456789,-\n\ra"))
+    edited = text[:at] + (char if edit != "delete" else "") + text[at + (edit != "insert") :]
+    try:
+        tokens = parse_layout_csv(edited)
+    except LayoutParseError:
+        return
+    # accepted only as some scheme's own bytes for the segments it spells
+    spelled = spelled_segments(tokens)
+    assert any(
+        layout_csv(layout) == edited and layout.tokens == tokens
+        for layout in (build_layout(spelled, SchemeConfig(s, d=8)) for s in SCHEME_IDS)
+    )
 
 
 @settings(max_examples=200, deadline=None)
