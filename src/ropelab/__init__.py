@@ -39,6 +39,7 @@ from .layout import (
     build_layout,
     format_layout_spec,
     layout_csv,
+    layout_csv_blocks,
     parse_layout_csv,
     parse_layout_spec,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "heatmap_csv",
     "heatmap_svg",
     "layout_csv",
+    "layout_csv_blocks",
     "monte_carlo_heatmap",
     "pair_positions",
     "parse_layout_csv",

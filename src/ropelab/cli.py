@@ -8,6 +8,8 @@ flags (Monte-Carlo included, via --seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 
@@ -23,7 +25,7 @@ from .diagnostics import (
     softmax_grid,
 )
 from .errors import RopelabError
-from .layout import TextSegment, VideoSegment, build_layout, layout_csv, parse_layout_spec
+from .layout import TextSegment, VideoSegment, build_layout, layout_csv_blocks, parse_layout_spec
 from .rotary import build_frequency_schedule
 from .schemes import SCHEME_IDS, SchemeConfig, VideoGrid, text_start_after_video
 from .selfcheck import run_selfcheck
@@ -97,12 +99,25 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", help="output path; '-' or omitted writes stdout")
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str):
+    """The open output of ``--out``-style ``path``: stdout for ``-``, else the file."""
+    if path != "-":
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        yield sys.stdout
+        sys.stdout.flush()  # here, so a closed pipe raises while it can still be handled
+    except BrokenPipeError:
+        # the reader has gone: what stdout still buffers goes to devnull at
+        # exit, instead of failing a second time in the interpreter's shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
+
+
+def _write(output, text: str) -> None:
+    output.write(text)
 
 
 def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
@@ -114,7 +129,11 @@ def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
 def _cmd_positions(args) -> int:
     config = _scheme_config(args)
     segments = parse_layout_spec(args.layout)
-    _write(args.out, layout_csv(build_layout(segments, config)))
+    # the budget is checked here, before --out is opened
+    blocks = layout_csv_blocks(build_layout(segments, config))
+    with _output(args.out) as output:
+        for block in blocks:  # one block's text at a time, never the whole CSV
+            _write(output, block)
     return EXIT_OK
 
 
@@ -135,14 +154,19 @@ def _cmd_heatmap(args) -> int:
         grid = softmax_grid(grid)
     text = heatmap_csv(grid)
     if args.svg:  # written first, so a failed SVG leaves the CSV unwritten
-        _write(args.svg, heatmap_svg(grid))
-    _write(args.out, text)
+        svg = heatmap_svg(grid)
+        with _output(args.svg) as output:
+            _write(output, svg)
+    with _output(args.out) as output:
+        _write(output, text)
     return EXIT_OK
 
 
 def _cmd_decay(args) -> int:
     schedule = build_frequency_schedule(args.base, args.d)
-    _write(args.out, decay_csv(decay_curve(schedule, args.max_delta)))
+    text = decay_csv(decay_curve(schedule, args.max_delta))
+    with _output(args.out) as output:
+        _write(output, text)
     return EXIT_OK
 
 
@@ -156,7 +180,9 @@ def _cmd_boundary(args) -> int:
             config,
         )
         rows.extend(boundary_score_table(layout))
-    _write(args.out, boundary_csv(rows))
+    text = boundary_csv(rows)
+    with _output(args.out) as output:
+        _write(output, text)
     return EXIT_OK
 
 

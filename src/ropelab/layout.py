@@ -7,8 +7,9 @@ continuation rules included, into an affine grid, from which the per-token
 ``positions`` are filled when first read; the fill, the ``tokens`` view
 and :func:`layout_csv` all read one walk over the grids' blocks of rows,
 which cuts every frame of a video at the same in-frame rows, if at all.
-:func:`layout_csv` writes a video's rows from row templates built once
-per segment and in-frame row range, filled per frame.
+:func:`layout_csv_blocks` yields that CSV a block at a time, writing a
+video's rows from row templates built once per segment and in-frame row
+range, filled per frame; :func:`layout_csv` is their join.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
 """
@@ -356,18 +357,27 @@ LAYOUT_CSV_HEADER = "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim
 def layout_csv(layout: TokenLayout) -> str:
     """Render a layout as CSV (UTF-8, LF). Text rows leave w/h/t empty; unused dims empty.
 
-    Rows are formatted a block at a time from the layout's block walk;
-    ``layout.positions`` is never filled. A text block is one ``%`` over its
-    repeated row format; a video block is filled from its segment's row
-    templates (see :class:`_VideoRows`). The text grows with the tokens, so
-    it takes the budget of ``positions``.
+    The text is the join of :func:`layout_csv_blocks`, and takes its budget check.
+    """
+    return "".join(layout_csv_blocks(layout))
+
+
+def layout_csv_blocks(layout: TokenLayout):
+    """An iterator over :func:`layout_csv`'s text: its header line, then each block's rows.
+
+    The budget is checked when this is called, before any block is made: the
+    text grows with the tokens, so it takes the budget of ``positions``. Rows
+    are formatted a block at a time from the layout's block walk, and only as
+    the iterator is read; ``layout.positions`` is never filled. A text block
+    is one ``%`` over its repeated row format; a video block is filled from
+    its segment's row templates (see :class:`_VideoRows`).
     """
     _check_layout_budget(layout)
-    return "".join(_csv_pieces(layout))
+    return _csv_pieces(layout)
 
 
 def _csv_pieces(layout: TokenLayout):
-    """:func:`layout_csv`'s header line, then each block's rows; unbudgeted, so readers can stop."""
+    """:func:`layout_csv_blocks`'s blocks without its budget check, so a reader can stop early."""
     groups = layout.scheme.group_count
     end = "," * (4 - groups) + "\n"
     dims = ",%d" * groups + end

@@ -32,6 +32,10 @@ from .errors import DimensionError, ParameterError
 # anything is allocated, instead of failing (or swapping) inside numpy.
 MAX_ARRAY_ELEMENTS = 2**26
 
+# values of the result :func:`rotate` fills per block (512 KiB), so that its
+# factors and scratch are a block's size, not the result's
+ROTATE_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class FrequencySchedule:
@@ -118,10 +122,15 @@ def rotate(x, angles) -> np.ndarray:
     vector at many angle sets. 1-D inputs give a 1-D result.
 
     A thin wrapper: it checks the shapes, then applies :func:`rotate_into`
-    with the :func:`rotation_factors` of ``angles``. Every value is bit for
-    bit the pair formula's, signed zeros included: the kernel's
-    ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE arithmetic, and
-    ``b*cos + a*sin`` is ``a*sin + b*cos``.
+    with the :func:`rotation_factors` of ``angles``, a block of the result's
+    first leading axis longer than 1 at a time: each block holds about
+    ``ROTATE_BLOCK_ELEMENTS`` values (one row where a row holds more), and
+    its factors and the one :func:`rotation_scratch` are a block's size.
+    Angles that do not vary along that axis have their factors computed
+    once. Every value is bit for bit the pair formula's, signed zeros
+    included: the kernel's ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE
+    arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
+    no value, since every operation is elementwise.
 
     Raises ParameterError, before anything is allocated, if the broadcast
     result has more than the element budget's values.
@@ -147,8 +156,20 @@ def rotate(x, angles) -> np.ndarray:
         ) from None
     # the result; the factors, each shaped like angles with d values per pair, fit within it
     check_array_budget(math.prod(lead) * d, f"a rotation to shape {lead + (d,)}")
-    cos2, sin2 = rotation_factors(angles)
-    return rotate_into(x, cos2, sin2, np.empty(lead + (d,), dtype=np.float64))
+    out = np.empty(lead + (d,), dtype=np.float64)
+    axis = next((a for a, n in enumerate(lead) if n > 1), None)
+    if axis is None:  # one vector, or a batch of one
+        return rotate_into(x, *rotation_factors(angles), out)
+    step = max(1, ROTATE_BLOCK_ELEMENTS // math.prod(out.shape[axis + 1 :]))
+    scratch = rotation_scratch(out[_index(axis, slice(0, step))].shape)
+    fixed = None  # the factors of angles that every block shares
+    if _part(angles, out.ndim, axis, slice(0, 0)) is angles:
+        fixed = rotation_factors(angles)
+    for start in range(0, lead[axis], step):
+        rows = slice(start, start + step)
+        factors = fixed or rotation_factors(_part(angles, out.ndim, axis, rows))
+        rotate_into(_part(x, out.ndim, axis, rows), *factors, out[_index(axis, rows)], scratch)
+    return out
 
 
 def rotation_factors(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +203,20 @@ def rotation_scratch(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(math.prod(shape[:axis]) * half * math.prod(shape[axis + 1 :]))
 
 
+def _index(axis: int, rows: slice) -> tuple[slice, ...]:
+    """The index of ``rows`` of ``axis``, all of every axis before it."""
+    return (slice(None),) * axis + (rows,)
+
+
 def _part(a: np.ndarray, ndim: int, axis: int, rows: slice) -> np.ndarray:
-    """The part of ``a`` that fills ``rows`` of ``axis`` of an ``ndim``-axis broadcast result."""
+    """The part of ``a`` that fills ``rows`` of ``axis`` of an ``ndim``-axis broadcast result.
+
+    ``a`` itself where it does not vary along that axis.
+    """
     axis -= ndim - a.ndim
     if axis < 0 or a.shape[axis] == 1:
         return a
-    return a[(slice(None),) * axis + (rows,)]
+    return a[_index(axis, rows)]
 
 
 def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
@@ -210,7 +239,7 @@ def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
     if scratch is None:
         scratch = rotation_scratch(out.shape)
     for rows in (slice(0, half), slice(half, out.shape[axis])):
-        part = out[(slice(None),) * axis + (rows,)]
+        part = out[_index(axis, rows)]
         product = scratch[: part.size].reshape(part.shape)
         np.copyto(product, _part(swapped, out.ndim, axis, rows))
         product *= _part(sin2, out.ndim, axis, rows)

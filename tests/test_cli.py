@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ropelab
+from ropelab import csvblock
 from ropelab import (
     SCHEME_IDS,
     RopelabError,
@@ -33,6 +35,9 @@ from ropelab import (
     boundary_score_table,
 )
 from ropelab.cli import BOUNDARY_PROMPT_TOKENS, _heatmap_query, main
+
+# bench/workloads.py's large positions tier: 151,577 tokens, a 6.3 MB vrope CSV
+LARGE_LAYOUT = "text:16,video:24x24x256,text:8,video:8x8x64,text:1"
 
 POSITIONS_GOLDEN = (
     "token_index,modality,segment_index,w,h,t,dim0,dim1,dim2,dim3\n"
@@ -95,6 +100,52 @@ class TestPositions:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_streamed_bytes_equal_layout_csv(self, scheme, tmp_path, capsys, monkeypatch):
+        # two 4225-cell frames: every block size cuts each frame into row ranges
+        spec = "text:3,video:65x65x2,text:1"
+        out = tmp_path / "positions.csv"
+        for rows in (1, 7, 4096):
+            monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+            expected = layout_csv(build_layout(parse_layout_spec(spec), SchemeConfig(scheme)))
+            args = ["positions", "--scheme", scheme, "--layout", spec]
+            assert main([*args, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
+            assert main([*args, "--out", "-"]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_peak_memory_does_not_grow_with_the_csv(self, tmp_path):
+        out = tmp_path / "positions.csv"
+        args = ["positions", "--scheme", "vrope", "--layout", LARGE_LAYOUT, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 6 * 2**20
+        # the whole CSV held as blocks, joined and encoded peaks near 12.8 MB
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("read", [0, 100])
+    def test_closed_stdout_pipe_exits_3(self, read):
+        # buffered stdout, as it is unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(ropelab.__file__).parents[1])
+        # 1.3 MB of CSV, far more than a pipe holds, so the CLI is still writing
+        args = ["positions", "--scheme", "vrope", "--layout", "text:2,video:64x64x8,text:1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "ropelab.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 3
+        lines = stderr.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines
+        assert len(lines) == 1 and "Exception ignored" not in stderr
 
 
 class TestDecay:
@@ -412,6 +463,16 @@ class TestExitCodes:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "budget" in captured.err
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"])
+    def test_over_element_budget_leaves_out_file_as_it_was(self, existing, tmp_path, capsys):
+        out = tmp_path / "positions.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        args = ["positions", "--scheme", "vrope", "--layout", "video:100000x100000x100000"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == existing
 
     # the boundary table reads the segments' grids, so no per-token array is
     # filled and the element budget does not apply

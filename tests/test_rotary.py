@@ -1,6 +1,7 @@
 """Tests for the rotary kernel: schedules, rotations, scores, and the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,36 @@ class TestRotate:
         for n in range(4):
             for c in range(6):
                 assert np.array_equal(out[n, c], rotate(x[n, 0], angles[c]))
+
+    @pytest.mark.parametrize(
+        "x_shape,angles_shape",
+        [((3000, 8), (4,)), ((8,), (3000, 4)), ((40, 1, 16), (1, 300, 8)), ((1, 70, 16), (9, 1, 8))],
+    )
+    @pytest.mark.parametrize("elements", [1, 1000, rotary.ROTATE_BLOCK_ELEMENTS])
+    def test_blocked_equals_one_unblocked_composition(
+        self, x_shape, angles_shape, elements, monkeypatch
+    ):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(x_shape)
+        angles = rng.uniform(-20, 20, angles_shape)
+        lead = np.broadcast_shapes(x_shape[:-1], angles_shape[:-1])
+        expected = rotary.rotate_into(
+            x, *rotary.rotation_factors(angles), np.empty(lead + x_shape[-1:])
+        )
+        monkeypatch.setattr(rotary, "ROTATE_BLOCK_ELEMENTS", elements)
+        assert np.array_equal(rotate(x, angles), expected)
+
+    def test_peak_memory_is_the_result_and_one_block(self):
+        x, angles = np.ones(64), np.full((2**15, 32), 0.5)
+        tracemalloc.start()
+        try:
+            out = rotate(x, angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 * 2**20
+        # factors and scratch of the whole result would take the peak to 56 MB
+        assert peak < 20 * 2**20
 
     @pytest.mark.parametrize(
         "x_shape,angles_shape",
