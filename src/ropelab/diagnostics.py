@@ -14,10 +14,10 @@ evaluation order or parallelism. The seeding runs in bulk, for a draw of
 trials at once (:func:`_trial_normals`), and gives exactly the vectors of
 ``default_rng(SeedSequence([seed, r]))``; a test holds it to numpy's own
 seeding. The trial loop has two levels. A draw holds the normals of a
-whole number of key blocks, at most ``MC_CHUNK_ELEMENTS`` = 2**16 values
+whole number of key blocks, at most ``rotary.BLOCK_ELEMENTS`` = 2**16 values
 (1024 trials at d=64), because each draw has a fixed cost whatever its
 size. A key block of those trials is rotated and summed, with at most
-``MC_CHUNK_ELEMENTS`` rotated keys (one trial's, where those are more).
+``BLOCK_ELEMENTS`` rotated keys (one trial's, where those are more).
 The query's and the frame's rotation factors are computed once per call,
 and every block is rotated into the same output and scratch buffers,
 allocated once per call; the bits are those of :func:`~ropelab.rotary.rotate`.
@@ -40,6 +40,7 @@ from .errors import CoordinateError, ParameterError
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
+    block_rows,
     check_array_budget,
     expected_self_score,
     rotate_into,
@@ -54,10 +55,6 @@ from .schemes import (
     pair_positions,
     video_positions,
 )
-
-# rotated-key elements per key block of Monte-Carlo trials, and normals per
-# draw (512 KiB of float64 each)
-MC_CHUNK_ELEMENTS = 2**16
 
 _MASK32 = 2**32 - 1
 _MASK128 = 2**128 - 1
@@ -184,9 +181,10 @@ def monte_carlo_heatmap(
     :func:`~ropelab.rotary.rotate_into`, with the query's and the frame's
     factors computed once per call, so every value is bit for bit what
     ``rotate`` gives. Trials are rotated and summed in key blocks of
-    ``chunk = max(1, MC_CHUNK_ELEMENTS // (W*H*d))`` trials, and their normals
-    are drawn ``chunk * max(1, MC_CHUNK_ELEMENTS // (chunk*d))`` trials at a
-    time, a whole number of blocks. With ``MC_CHUNK_ELEMENTS`` = 2**16, an
+    ``chunk = block_rows(W*H*d)`` trials, and their normals are drawn
+    ``chunk * block_rows(chunk*d)`` trials at a time, a whole number of
+    blocks (:func:`~ropelab.rotary.block_rows`). With
+    ``rotary.BLOCK_ELEMENTS`` = 2**16, an
     8x8 frame at ``d=64`` has 16-trial blocks and 1024-trial draws, so 10k
     trials take 10 draws; neither a draw nor a block's rotated keys holds
     more than 2**16 values (512 KiB), or one trial's keys where those are
@@ -212,9 +210,9 @@ def monte_carlo_heatmap(
     cells = grid.tokens_per_frame
     # one trial's rotated keys, and each of the frame's two factor arrays, hold W*H*d values
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
-    chunk = max(1, MC_CHUNK_ELEMENTS // (cells * d))
+    chunk = block_rows(cells * d)
     # a draw is a whole number of key blocks; each _trial_normals call has a fixed cost
-    draw = chunk * max(1, MC_CHUNK_ELEMENTS // (chunk * d))
+    draw = chunk * block_rows(chunk * d)
     # the query's and the frame's pair factors, once per call
     q_cos, q_sin = rotation_factors(q_angles)
     k_cos, k_sin = rotation_factors(k_angles)

@@ -32,9 +32,9 @@ from .errors import DimensionError, ParameterError
 # anything is allocated, instead of failing (or swapping) inside numpy.
 MAX_ARRAY_ELEMENTS = 2**26
 
-# values of the result :func:`rotate` fills per block (512 KiB), so that its
-# factors and scratch are a block's size, not the result's
-ROTATE_BLOCK_ELEMENTS = 2**16
+# values per block of a blocked rotation (512 KiB of float64): :func:`rotate`'s
+# result blocks, and the Monte-Carlo heatmap's key blocks and normal draws
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ def check_array_budget(elements: int, what: str) -> None:
         raise ParameterError(
             f"{what} needs {elements} array elements, over the budget of {MAX_ARRAY_ELEMENTS}"
         )
+
+
+def block_rows(row_elements: int) -> int:
+    """Rows of ``row_elements`` values each in one block: ``BLOCK_ELEMENTS // row_elements``, at least 1."""
+    return max(1, BLOCK_ELEMENTS // row_elements)
 
 
 def check_head_params(d: int, base: float) -> None:
@@ -124,10 +129,9 @@ def rotate(x, angles) -> np.ndarray:
     A thin wrapper: it checks the shapes, then applies :func:`rotate_into`
     with the :func:`rotation_factors` of ``angles``, a block of the result's
     first leading axis longer than 1 at a time: each block holds about
-    ``ROTATE_BLOCK_ELEMENTS`` values (one row where a row holds more), and
-    its factors and the one :func:`rotation_scratch` are a block's size.
-    Angles that do not vary along that axis have their factors computed
-    once. Every value is bit for bit the pair formula's, signed zeros
+    ``BLOCK_ELEMENTS`` values (one row where a row holds more), and its
+    factors and the one :func:`rotation_scratch` are a block's size. Every
+    value is bit for bit the pair formula's, signed zeros
     included: the kernel's ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE
     arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
     no value, since every operation is elementwise.
@@ -160,14 +164,11 @@ def rotate(x, angles) -> np.ndarray:
     axis = next((a for a, n in enumerate(lead) if n > 1), None)
     if axis is None:  # one vector, or a batch of one
         return rotate_into(x, *rotation_factors(angles), out)
-    step = max(1, ROTATE_BLOCK_ELEMENTS // math.prod(out.shape[axis + 1 :]))
+    step = block_rows(math.prod(out.shape[axis + 1 :]))
     scratch = rotation_scratch(out[_index(axis, slice(0, step))].shape)
-    fixed = None  # the factors of angles that every block shares
-    if _part(angles, out.ndim, axis, slice(0, 0)) is angles:
-        fixed = rotation_factors(angles)
     for start in range(0, lead[axis], step):
         rows = slice(start, start + step)
-        factors = fixed or rotation_factors(_part(angles, out.ndim, axis, rows))
+        factors = rotation_factors(_part(angles, out.ndim, axis, rows))
         rotate_into(_part(x, out.ndim, axis, rows), *factors, out[_index(axis, rows)], scratch)
     return out
 

@@ -252,8 +252,8 @@ class TestBoundaryScoreTable:
 
 def _mc_blocks(cells: int, d: int) -> tuple[int, int]:
     """Trials per key block and per draw of monte_carlo_heatmap over ``cells`` cells."""
-    chunk = max(1, diagnostics.MC_CHUNK_ELEMENTS // (cells * d))
-    return chunk, chunk * max(1, diagnostics.MC_CHUNK_ELEMENTS // (chunk * d))
+    chunk = max(1, rotary.BLOCK_ELEMENTS // (cells * d))
+    return chunk, chunk * max(1, rotary.BLOCK_ELEMENTS // (chunk * d))
 
 
 class TestMonteCarloHeatmap:
@@ -312,7 +312,7 @@ class TestMonteCarloHeatmap:
     @pytest.mark.parametrize("offset", [None, -1, 0, 1, "past_draw"])
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_matches_per_trial_reference(self, scheme, offset):
-        # 8x8 frame, d=64: one block holds MC_CHUNK_ELEMENTS // 4096 trials;
+        # 8x8 frame, d=64: one block holds rotary.BLOCK_ELEMENTS // 4096 trials;
         # "past_draw" spans two draws and ends 5 trials into a block
         config = SchemeConfig(scheme, d=64)
         video = VideoGrid(8, 8, 2)
@@ -376,7 +376,7 @@ class TestMonteCarloHeatmap:
         trial_config = TrialConfig(seed=11, trials=50)
         whole = monte_carlo_heatmap(config, video, 1, (9,) * config.group_count, trial_config)
         for elements in (1, 7 * 6 * 16):
-            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
             chunked = monte_carlo_heatmap(
                 config, video, 1, (9,) * config.group_count, trial_config
             )
@@ -386,8 +386,8 @@ class TestMonteCarloHeatmap:
     @pytest.mark.parametrize("elements,width,d", [(None, 8, 64), (2**8, 1, 2), (2**10, 8, 64)])
     def test_working_set_bounded_by_block(self, elements, width, d, monkeypatch):
         if elements is not None:
-            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
-        limit = max(diagnostics.MC_CHUNK_ELEMENTS, width * width * d)
+            monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
+        limit = max(rotary.BLOCK_ELEMENTS, width * width * d)
         sizes = {"rotate": [], "draw": []}
 
         def recorded(name, func):
@@ -418,7 +418,7 @@ class TestMonteCarloHeatmap:
     @pytest.mark.parametrize("elements,width,d", [(None, 8, 64), (2**10, 2, 16), (2**10, 8, 64)])
     def test_blocks_reuse_one_output_and_half_block_scratch(self, elements, width, d, monkeypatch):
         if elements is not None:
-            monkeypatch.setattr(diagnostics, "MC_CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
         calls = []
 
         def recorded(x, cos2, sin2, out, scratch):

@@ -210,7 +210,7 @@ class TestRotate:
         "x_shape,angles_shape",
         [((3000, 8), (4,)), ((8,), (3000, 4)), ((40, 1, 16), (1, 300, 8)), ((1, 70, 16), (9, 1, 8))],
     )
-    @pytest.mark.parametrize("elements", [1, 1000, rotary.ROTATE_BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("elements", [1, 1000, rotary.BLOCK_ELEMENTS])
     def test_blocked_equals_one_unblocked_composition(
         self, x_shape, angles_shape, elements, monkeypatch
     ):
@@ -221,7 +221,7 @@ class TestRotate:
         expected = rotary.rotate_into(
             x, *rotary.rotation_factors(angles), np.empty(lead + x_shape[-1:])
         )
-        monkeypatch.setattr(rotary, "ROTATE_BLOCK_ELEMENTS", elements)
+        monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
         assert np.array_equal(rotate(x, angles), expected)
 
     def test_peak_memory_is_the_result_and_one_block(self):
