@@ -6,10 +6,10 @@ insignificant. :func:`build_layout` resolves each segment under a scheme,
 continuation rules included, into an affine grid, from which the per-token
 ``positions`` are filled when first read; the fill, the ``tokens`` view
 and :func:`layout_csv` all read one walk over the grids' blocks of rows,
-which cuts every frame of a video at the same in-frame rows, if at all.
-:func:`layout_csv_blocks` yields that CSV a block at a time, writing a
-video's rows from row templates built once per segment and in-frame row
-range, filled per frame; :func:`layout_csv` is their join.
+each one array of cells and positions, which cuts every frame of a video
+at the same in-frame rows, if at all. :func:`layout_csv_blocks` yields that
+CSV a block at a time through one row writer for text and video;
+:func:`layout_csv` is their join.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import numbers
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,6 +49,8 @@ class TextSegment:
     count: int
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise ParameterError(f"text segment count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ParameterError(f"text segment needs count >= 1, got {self.count}")
 
@@ -101,13 +104,14 @@ class LayoutTokens(Sequence):
     def _walk(self, start: int, stop: int):
         """The tokens of rows ``[start, stop)``, in order."""
         segments = self._layout.segments
-        for index, _, cells, positions in _blocks(self._layout, start, stop):
+        for index, _, values in _blocks(self._layout, start, stop):
             video = isinstance(segments[index], VideoSegment)
-            for cell, position in zip(cells.tolist(), positions.tolist()):
+            for w, h, t, *position in values.tolist():
+                position = tuple(position)
                 if video:
-                    yield LayoutToken("video", index, TokenCoordinate(*cell), None, tuple(position))
+                    yield LayoutToken("video", index, TokenCoordinate(w, h, t), None, position)
                 else:  # a text cell is (offset, 0, 0)
-                    yield LayoutToken("text", index, None, cell[0], tuple(position))
+                    yield LayoutToken("text", index, None, w, position)
 
     def __getitem__(self, index):
         picked = range(len(self))[index]  # normalizes negatives, raises IndexError
@@ -151,14 +155,14 @@ class TokenLayout:
 
         Video tokens appear in raster order (frame outer, then row, then
         column); text positions increase by one per token within a segment.
-        Only one block's cells and positions are held beside the array.
+        Only one block's array is held beside it.
         Raises ParameterError if tokens times ``max(G, 3)`` exceeds the
         element budget.
         """
         total = _check_layout_budget(self)
         positions = np.empty((total, self.scheme.group_count), dtype=np.int64)
-        for _, first, _, block in _blocks(self, 0, total):
-            positions[first : first + len(block)] = block
+        for _, first, values in _blocks(self, 0, total):
+            positions[first : first + len(values)] = values[:, 3:]
         positions.setflags(write=False)
         return positions
 
@@ -284,45 +288,33 @@ def _check_layout_budget(layout: TokenLayout) -> int:
     return total
 
 
-def _cell(offset, grid: VideoGrid):
-    """``(w, h, t)`` of the cell at raster ``offset`` (an int or an array) of a video."""
-    t, in_frame = divmod(offset, grid.tokens_per_frame)
-    h, w = divmod(in_frame, grid.width)
-    return w, h, t
-
-
 def _segment_starts(segments) -> list[int]:
     """First row of each segment, then the layout's token count."""
     return [0, *itertools.accumulate(segment.token_count for segment in segments)]
 
 
 def _blocks(layout: TokenLayout, start: int, stop: int):
-    """``(s, first row, cells, positions)`` of each block of rows ``[start, stop)``.
+    """``(s, first row, values)`` of each block of rows ``[start, stop)``.
 
     A block is one :func:`~ropelab.csvblock.row_blocks` range of segment
     ``s``'s rows, with the grid's ``W*H``-cell frames as frames (a text run
     is one frame): whole frames, or one in-frame row range that every frame
-    of the segment is cut at alike. Its (n, 3) cells ``(w, h, t)`` are
-    raster cells of the grid of ``counts[s]`` (a text run's are
-    ``(k, 0, 0)``) and its (n, G) positions are
-    ``firsts[s] + cells @ steps[s]``; the walk keeps neither.
+    of the segment is cut at alike. ``values`` is one (n, 3 + G) int64
+    array: the raster cells ``(w, h, t)`` of the grid of ``counts[s]`` (a
+    text run's are ``(k, 0, 0)``), then the positions
+    ``firsts[s] + cells @ steps[s]``, filled in place.
     """
     for index, (first, last) in enumerate(itertools.pairwise(_segment_starts(layout.segments))):
         if first >= stop:
             return
-        grid = VideoGrid(*layout.counts[index].tolist())
-        frame = grid.tokens_per_frame
-        for rows in row_blocks(max(start, first) - first, min(stop, last) - first, frame):
-            # built in a helper, so no block stays bound here while the caller uses it
-            yield index, first + rows.start, *_block_arrays(layout, index, grid, rows)
-
-
-def _block_arrays(layout: TokenLayout, index: int, grid: VideoGrid, rows: range):
-    """(n, 3) cells and (n, G) positions of ``rows``, counted from 0, of segment ``index``."""
-    cells = np.stack(_cell(np.arange(rows.start, rows.stop), grid), axis=1)
-    positions = cells @ layout.steps[index]
-    positions += layout.firsts[index]  # in place: no second (n, G) array
-    return cells, positions
+        width, height, _ = layout.counts[index].tolist()
+        for rows in row_blocks(max(start, first) - first, min(stop, last) - first, width * height):
+            values = np.empty((len(rows), 3 + layout.scheme.group_count), dtype=np.int64)
+            values[:, 2], in_frame = np.divmod(np.arange(rows.start, rows.stop), width * height)
+            values[:, 1], values[:, 0] = np.divmod(in_frame, width)
+            np.matmul(values[:, :3], layout.steps[index], out=values[:, 3:])
+            values[:, 3:] += layout.firsts[index]
+            yield index, first + rows.start, values
 
 
 def video_text_boundaries(segments) -> list[int]:
@@ -368,9 +360,8 @@ def layout_csv_blocks(layout: TokenLayout):
     The budget is checked when this is called, before any block is made: the
     text grows with the tokens, so it takes the budget of ``positions``. Rows
     are formatted a block at a time from the layout's block walk, and only as
-    the iterator is read; ``layout.positions`` is never filled. A text block
-    is one ``%`` over its repeated row format; a video block is filled from
-    its segment's row templates (see :class:`_VideoRows`).
+    the iterator is read, one row writer for text and video (see
+    :class:`_Rows`); ``layout.positions`` is never filled.
     """
     _check_layout_budget(layout)
     return _csv_pieces(layout)
@@ -378,35 +369,28 @@ def layout_csv_blocks(layout: TokenLayout):
 
 def _csv_pieces(layout: TokenLayout):
     """:func:`layout_csv_blocks`'s blocks without its budget check, so a reader can stop early."""
-    groups = layout.scheme.group_count
-    end = "," * (4 - groups) + "\n"
-    dims = ",%d" * groups + end
+    end = "," * (4 - layout.scheme.group_count) + "\n"
     total = _segment_starts(layout.segments)[-1]
     yield LAYOUT_CSV_HEADER + "\n"
-    video = None  # the current video segment's _VideoRows
-    for index, first, cells, positions in _blocks(layout, 0, total):
-        if isinstance(layout.segments[index], TextSegment):
-            columns = [range(first, first + len(cells)), *positions.T.tolist()]
-            del cells, positions  # only the block's lists are held while it is formatted
-            yield format_block(f"%d,text,{index},,,{dims}", columns)
-            continue
-        if video is None or video.index != index:
-            video = _VideoRows(layout, index, end)
-        values = np.concatenate((cells, positions), axis=1)  # columns w, h, t, dim0..
-        del cells, positions
-        yield video.block(first, values)
+    writer = None  # the current segment's _Rows
+    for index, first, values in _blocks(layout, 0, total):
+        if writer is None or writer.index != index:
+            writer = _Rows(layout, index, end)
+        yield writer.block(first, values)
 
 
-class _VideoRows:
-    """The CSV rows of one video segment, filled from row templates built once per segment.
+class _Rows:
+    """The CSV rows of one segment; a text run is one frame whose w/h/t are written empty.
 
-    A video row's columns ``w, h, t, dim0..`` are each affine in the cell
+    A row's columns ``w, h, t, dim0..`` are each affine in the cell
     ``(w, h, t)``, with unit steps for the cell's own columns and the
-    segment's ``steps`` for the dims; which of a column's w, h and t steps
-    are zero decides how it is written:
+    segment's ``steps`` for the dims. A segment of one frame is written a
+    block at a time by one ``%`` over its row format, in which a column with
+    no w or h step is literal text. A segment of more frames is filled from
+    row templates, one per in-frame row range, kept for its later frames; a
+    column's steps decide how it is written:
 
-    - no t-step: the same in every frame, so it is literal text in the
-      template of the frame's row range, built once per segment and range;
+    - no t-step: the same in every frame, so literal text in the template;
     - only a t-step: one value per frame, written into a copy of the
       template by one ``str.replace`` of a sentinel per run of adjacent such
       columns (``t`` is always one);
@@ -414,36 +398,51 @@ class _VideoRows:
     """
 
     def __init__(self, layout: TokenLayout, index: int, end: str):
+        width, height, frames = layout.counts[index].tolist()
+        text = isinstance(layout.segments[index], TextSegment)
         steps = np.concatenate((np.identity(3, dtype=np.int64), layout.steps[index]), axis=1)
-        kinds = np.where(steps[2] == 0, "baked", np.where(steps[:2].any(axis=0), "row", "frame"))
+        moves = steps[:2].any(axis=0)  # a w or h step: the column varies within a frame
+        if frames == 1:  # a column varies per row or holds the first cell's value
+            kinds = np.where(moves, "row", "fixed").tolist()
+            if text:
+                kinds[:3] = ["fixed"] * 3
+        else:
+            kinds = np.where(steps[2] == 0, "baked", np.where(moves, "row", "frame")).tolist()
+        first_cell = ["", "", ""] if text else ["0", "0", "0"]  # a text run's w/h/t are empty
+        first_cell += map(str, layout.firsts[index].tolist())
+        field = "%d" if frames == 1 else "%%d"  # a template keeps its per-row fields escaped
         fields = []
         self.index = index
         self.baked: list[int] = []  # columns written into the template
         self.runs: list[list[int]] = []  # runs of adjacent per-frame columns, one per sentinel
         self.varying: list[int] = []  # columns filled per row
-        for column, kind in enumerate(kinds.tolist()):
-            if kind == "baked":
+        for column, kind in enumerate(kinds):
+            if kind == "fixed":
+                fields.append(first_cell[column])
+            elif kind == "baked":
                 self.baked.append(column)
                 fields.append("%d")  # filled when the template is built
             elif kind == "row":
                 self.varying.append(column)
-                fields.append("%%d")  # left as a field in the template
+                fields.append(field)
             elif self.runs and self.runs[-1][-1] == column - 1:
                 self.runs[-1].append(column)
             else:
                 fields.append(chr(len(self.runs)))  # no row text holds a control character
                 self.runs.append([column])
-        self.row_format = f"%%d,video,{index}," + ",".join(fields) + end
-        self.frame = int(layout.counts[index, 0] * layout.counts[index, 1])
-        self.templates: dict[tuple[int, int, int], str] = {}
+        self.row_format = f"{field},{'text' if text else 'video'},{index}," + ",".join(fields) + end
+        self.frame = width * height
+        self.templates: dict[tuple[int, int, int], str] | None = {} if frames > 1 else None
 
     def block(self, first: int, values: np.ndarray) -> str:
-        """The rows of one block, row ``first`` onwards, whose (n, 3 + G) columns are ``values``.
+        """The rows of one :func:`_blocks` block, row ``first`` onwards, from its ``values``.
 
-        A block is whole frames or one in-frame row range (see
-        :func:`_blocks`), so its first ``rows`` rows span one frame's part
-        and every later frame of the block repeats their cells.
+        A block is whole frames or one in-frame row range, so its first ``rows``
+        rows span one frame's part and every later frame of the block repeats their cells.
         """
+        columns = [range(first, first + len(values)), *values[:, self.varying].T.tolist()]
+        if self.templates is None:
+            return format_block(self.row_format, columns)
         rows = min(len(values), self.frame)
         key = (*values[0, :2].tolist(), rows)  # the range's first (w, h) and length
         template = self.templates.get(key)
@@ -456,7 +455,6 @@ class _VideoRows:
             run_format = ",".join(["%d"] * len(run)) + "\n"
             texts = format_block(run_format, values[::rows, run].T.tolist()).split("\n")
             frames = [text.replace(chr(sentinel), value) for text, value in zip(frames, texts)]
-        columns = [range(first, first + len(values)), *values[:, self.varying].T.tolist()]
         return fill_rows("".join(frames), columns)
 
 

@@ -21,6 +21,7 @@ which writes into the buffers it is given, is pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,16 +74,20 @@ def check_head_params(d: int, base: float) -> None:
     """Validate a head dimension and frequency base.
 
     Raises:
-        DimensionError: if ``d`` is odd or smaller than 2.
-        ParameterError: if ``base`` is not finite or not strictly positive,
-            if the largest frequency ``base ** (-(d-2)/d)`` times ``2**54``
+        DimensionError: if ``d`` is not an integer, is odd or is smaller than 2.
+        ParameterError: if ``base`` is not a real number, not finite or not
+            strictly positive, if the largest frequency ``base ** (-(d-2)/d)`` times ``2**54``
             is not finite (a tiny base), or if ``d/2`` exceeds the array
             budget. Positions lie within 2**53 either side of 0, so every
             angle ``delta * theta`` of an admitted base is finite.
     """
+    if not isinstance(d, numbers.Integral):
+        raise DimensionError(f"head dimension must be an integer, got {d!r}")
     if d < 2 or d % 2 != 0:
         raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
     check_array_budget(d // 2, f"head dimension d={d}")
+    if not isinstance(base, numbers.Real):
+        raise ParameterError(f"base must be a real number, got {base!r}")
     if not (math.isfinite(base) and base > 0):
         raise ParameterError(f"base must be finite and > 0, got {base}")
     try:

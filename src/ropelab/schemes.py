@@ -19,6 +19,7 @@ matches plain 1-D rotary encoding at that position.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,6 +50,8 @@ class VideoGrid:
 
     def __post_init__(self):
         for name, value in (("width", self.width), ("height", self.height), ("frames", self.frames)):
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"grid {name} must be an integer, got {value!r}")
             if value < 1:
                 raise ParameterError(f"grid {name} must be >= 1, got {value}")
 
@@ -138,6 +141,8 @@ class SchemeConfig:
                 f"{self.scheme} needs d/2 divisible by {rule.pairs_divisor}, got d={self.d}"
             )
         if self.partition is not None:
+            if not all(isinstance(s, numbers.Integral) for s in self.partition):
+                raise ConfigError(f"partition sizes must be integers, got {self.partition!r}")
             object.__setattr__(self, "partition", tuple(int(s) for s in self.partition))
             if not rule.takes_partition:
                 raise ConfigError(f"{self.scheme} does not take a partition")

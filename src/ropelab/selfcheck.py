@@ -185,8 +185,8 @@ def check_no_cross_modal_collision() -> None:
 def check_decay_normalization() -> None:
     schedule = build_frequency_schedule(10000.0, 64)
     curve = decay_curve(schedule, 512)
-    assert curve.points[0] == (0, 1.0)
-    assert all(value < 1.0 for _, value in curve.points[1:])
+    assert curve.values[0] == 1.0
+    assert (curve.values[1:] < 1.0).all()
 
 
 def check_rope_share_frame_constancy() -> None:

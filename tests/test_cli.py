@@ -128,6 +128,20 @@ class TestPositions:
         # the whole CSV held as blocks, joined and encoded peaks near 12.8 MB
         assert peak < 4 * 2**20
 
+    def test_peak_memory_does_not_grow_with_a_frame(self, tmp_path):
+        # one 250,000-cell frame: keeping a row template per block of it peaks near 9.5 MB
+        out = tmp_path / "positions.csv"
+        layout = "text:1,video:500x500x1,text:1"
+        args = ["positions", "--scheme", "vrope", "--layout", layout, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 9 * 2**20
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("read", [0, 100])
     def test_closed_stdout_pipe_exits_3(self, read):
         # buffered stdout, as it is unless PYTHONUNBUFFERED is set

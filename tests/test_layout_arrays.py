@@ -338,12 +338,15 @@ LONG_SPEC = "text:4100,video:3x2x2,text:2,video:64x8x9,text:1,video:4099x1x1"
 # row ranges, one template per range, and a 4096-row block of rows would cross
 # the frame edge
 TWO_FRAME_SPEC = "text:3,video:65x65x2,text:1"
+# a text run and a one-frame 70x60 video, each longer than one 4096-row block:
+# one-frame segments are written without templates, a block's rows spanning frame rows
+ONE_FRAME_SPEC = "text:4097,video:70x60x1,text:1"
 
 
 @pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_csv_matches_per_row_reference_at_any_block_size(scheme, monkeypatch):
     config = SchemeConfig(scheme, d=16)
-    for spec in (LONG_SPEC, TWO_FRAME_SPEC):
+    for spec in (LONG_SPEC, TWO_FRAME_SPEC, ONE_FRAME_SPEC):
         segments = parse_layout_spec(spec)
         expected = reference_csv(reference_tokens(segments, config))
         for rows in (1, 7, 4096):

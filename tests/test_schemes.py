@@ -12,6 +12,7 @@ from ropelab import (
     DimensionError,
     ParameterError,
     SchemeConfig,
+    TextSegment,
     TokenCoordinate,
     VideoGrid,
     group_allocation,
@@ -360,3 +361,36 @@ class TestVideoGrid:
         grid = VideoGrid(3, 2, 4)
         assert grid.tokens_per_frame == 6
         assert grid.token_count == 24
+
+
+@pytest.mark.parametrize(
+    "make,good,bad,error",
+    [
+        pytest.param(lambda v: VideoGrid(v, 2, 1), np.int64(2), 2.5, ParameterError, id="width"),
+        pytest.param(lambda v: VideoGrid(2, 2, v), np.int32(1), "1", ParameterError, id="frames"),
+        pytest.param(TextSegment, np.int64(2), 2.5, ParameterError, id="text-count"),
+        pytest.param(
+            lambda v: SchemeConfig("rope1d", d=v), np.int64(64), "64", DimensionError, id="d"
+        ),
+        pytest.param(
+            lambda v: SchemeConfig("rope1d", d=v), np.int64(8), 8.0, DimensionError, id="d-float"
+        ),
+        pytest.param(
+            lambda v: SchemeConfig("rope1d", base=v), np.float32(5), "1e4", ParameterError,
+            id="base",
+        ),
+        # 16.5 and 15.5 would truncate to 16 and 15, which sum to 31, not 32
+        pytest.param(
+            lambda v: SchemeConfig("rope2d", partition=v), (np.int64(16), 16), (16.5, 15.5),
+            ConfigError, id="partition-float",
+        ),
+        pytest.param(
+            lambda v: SchemeConfig("rope2d", partition=v), (np.int8(16), 16), ("16", "16"),
+            ConfigError, id="partition-str",
+        ),
+    ],
+)
+def test_sizes_must_be_integers_and_base_real(make, good, bad, error):
+    make(good)  # numpy integers and floats are accepted
+    with pytest.raises(error, match="must be an integer|must be a real number|must be integers"):
+        make(bad)
