@@ -76,9 +76,9 @@ def check_head_params(d: int, base: float) -> None:
     Raises:
         DimensionError: if ``d`` is not an integer, is odd or is smaller than 2.
         ParameterError: if ``base`` is not a real number, not finite or not
-            strictly positive, if the largest frequency ``base ** (-(d-2)/d)`` times ``2**54``
-            is not finite (a tiny base), or if ``d/2`` exceeds the array
-            budget. Positions lie within 2**53 either side of 0, so every
+            strictly positive, if the largest frequency ``base ** (-(d-2)/d)``
+            times ``2**54`` is not finite (a tiny base), or if ``d/2`` exceeds
+            the array budget. Positions lie within 2**53 either side of 0, so every
             angle ``delta * theta`` of an admitted base is finite.
     """
     if not isinstance(d, numbers.Integral):

@@ -129,7 +129,7 @@ class TestPositions:
         assert peak < 4 * 2**20
 
     def test_peak_memory_does_not_grow_with_a_frame(self, tmp_path):
-        # one 250,000-cell frame: keeping a row template per block of it peaks near 9.5 MB
+        # one 250,000-cell frame, 10 MB of CSV: what is held beside a block must not grow with it
         out = tmp_path / "positions.csv"
         layout = "text:1,video:500x500x1,text:1"
         args = ["positions", "--scheme", "vrope", "--layout", layout, "--out", str(out)]
