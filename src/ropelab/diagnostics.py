@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .csvblock import format_block, row_blocks
 from .errors import CoordinateError, ParameterError
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
@@ -69,18 +69,17 @@ _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreGrid:
+class ScoreGrid(Frozen):
     """Expected scores from one query to every cell of one frame; ``values[w, h]``.
 
     Two grids are equal when their values are, element by element, and
     their scheme, query and frame are.
     """
 
-    values: np.ndarray
-    scheme: SchemeConfig
-    query: PositionVector
-    frame: int
+    __match_args__ = ("values", "scheme", "query", "frame")
+
+    def __init__(self, values: np.ndarray, scheme: SchemeConfig, query: PositionVector, frame: int):
+        self.__dict__.update(values=values, scheme=scheme, query=query, frame=frame)
 
     def __eq__(self, other):
         if not isinstance(other, ScoreGrid):
@@ -89,15 +88,17 @@ class ScoreGrid:
         return same and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True, eq=False)
-class DecayCurve:
+class DecayCurve(Frozen):
     """Expected self-score as a function of a uniform per-pair offset.
 
     ``values[delta]`` is the score at offset ``delta`` (read-only float64);
     two curves are equal when their values are, element by element.
     """
 
-    values: np.ndarray
+    __match_args__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.__dict__.update(values=values)
 
     @functools.cached_property
     def points(self) -> tuple[tuple[int, float], ...]:
@@ -110,32 +111,37 @@ class DecayCurve:
         return np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """Monte-Carlo settings: master seed and trial count (``d`` and base are the scheme's)."""
+class TrialConfig(Frozen):
+    """Monte-Carlo settings: master seed and trial count (``d`` and base are the scheme's).
 
-    seed: int
-    trials: int
+    Both are stored as Python ints.
+    """
 
-    def __post_init__(self):
-        for name in ("seed", "trials"):
-            value = getattr(self, name)
+    __match_args__ = ("seed", "trials")
+
+    def __init__(self, seed: int, trials: int):
+        for name, value in (("seed", seed), ("trials", trials)):
             if not isinstance(value, numbers.Integral):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        seed, trials = int(seed), int(trials)
+        if not 0 <= seed < 2**64:
+            raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         # trial indices r < trials must fit the 64 unsigned bits _trial_normals hashes
-        if not 1 <= self.trials <= 2**64:
-            raise ParameterError(f"trials must be in [1, 2**64], got {self.trials}")
+        if not 1 <= trials <= 2**64:
+            raise ParameterError(f"trials must be in [1, 2**64], got {trials}")
+        self.__dict__.update(seed=seed, trials=trials)
 
 
-@dataclass(frozen=True)
-class BoundaryScore:
-    """Mean expected self-score from the boundary text query to one key set."""
+class BoundaryScore(Frozen):
+    """Mean expected self-score from the boundary text query to one key set.
 
-    scheme_id: str
-    target: str  # "video" | "text"
-    mean_score: float
+    ``target`` is ``"video"`` or ``"text"``.
+    """
+
+    __match_args__ = ("scheme_id", "target", "mean_score")
+
+    def __init__(self, scheme_id: str, target: str, mean_score: float):
+        self.__dict__.update(scheme_id=scheme_id, target=target, mean_score=mean_score)
 
 
 def _frame_pair_positions(

@@ -22,10 +22,10 @@ import itertools
 import numbers
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from .csvblock import fill_rows, format_block, row_blocks
 from .errors import LayoutParseError, ParameterError
 from .rotary import check_array_budget
@@ -42,28 +42,30 @@ from .schemes import (
 )
 
 
-@dataclass(frozen=True)
-class TextSegment:
-    """A run of ``count`` opaque text tokens."""
+class TextSegment(Frozen):
+    """A run of ``count`` opaque text tokens; ``count`` is stored as a Python int."""
 
-    count: int
+    __match_args__ = ("count",)
 
-    def __post_init__(self):
-        if not isinstance(self.count, numbers.Integral):
-            raise ParameterError(f"text segment count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise ParameterError(f"text segment needs count >= 1, got {self.count}")
+    def __init__(self, count: int):
+        if not isinstance(count, numbers.Integral):
+            raise ParameterError(f"text segment count must be an integer, got {count!r}")
+        if count < 1:
+            raise ParameterError(f"text segment needs count >= 1, got {count}")
+        self.__dict__.update(count=int(count))
 
     @property
     def token_count(self) -> int:
         return self.count
 
 
-@dataclass(frozen=True)
-class VideoSegment:
+class VideoSegment(Frozen):
     """One video, laid out as a token grid."""
 
-    grid: VideoGrid
+    __match_args__ = ("grid",)
+
+    def __init__(self, grid: VideoGrid):
+        self.__dict__.update(grid=grid)
 
     @property
     def token_count(self) -> int:
@@ -73,15 +75,27 @@ class VideoSegment:
 Segment = TextSegment | VideoSegment
 
 
-@dataclass(frozen=True)
-class LayoutToken:
-    """One resolved token: modality, owning segment, coordinate/ordinal, position."""
+class LayoutToken(Frozen):
+    """One resolved token: modality, owning segment, coordinate/ordinal, position.
 
-    modality: str  # "text" | "video"
-    segment_index: int
-    coord: TokenCoordinate | None  # video tokens only
-    ordinal: int | None  # text tokens only: offset within the segment
-    position: PositionVector
+    ``modality`` is ``"text"`` or ``"video"``; ``coord`` is set for video
+    tokens only, and ``ordinal``, the offset within the segment, for text
+    tokens only.
+    """
+
+    __match_args__ = ("modality", "segment_index", "coord", "ordinal", "position")
+
+    def __init__(
+        self,
+        modality: str,
+        segment_index: int,
+        coord: TokenCoordinate | None,
+        ordinal: int | None,
+        position: PositionVector,
+    ):
+        self.__dict__.update(
+            modality=modality, segment_index=segment_index, coord=coord, ordinal=ordinal, position=position
+        )
 
 
 class LayoutTokens(Sequence):
@@ -133,21 +147,27 @@ class LayoutTokens(Sequence):
         return f"<LayoutTokens of {len(self)} tokens>"
 
 
-@dataclass(frozen=True, eq=False)
-class TokenLayout:
+class TokenLayout(Frozen):
     """All tokens of a sequence in order, with their segments and scheme.
 
     Segment ``s`` is an affine grid (see :func:`build_layout`): the token at
     raster cell ``k`` of ``counts[s]`` (S, 3) sits at ``firsts[s] + k @ steps[s]``,
     ``firsts`` (S, G) and ``steps`` (S, 3, G) all read-only int64.
     :attr:`positions` and :attr:`tokens` follow from the grids and segments.
+    Two layouts are equal when their scheme and segments are.
     """
 
-    scheme: SchemeConfig
-    segments: tuple[Segment, ...]
-    firsts: np.ndarray
-    steps: np.ndarray
-    counts: np.ndarray
+    __match_args__ = ("scheme", "segments", "firsts", "steps", "counts")
+
+    def __init__(
+        self,
+        scheme: SchemeConfig,
+        segments: tuple[Segment, ...],
+        firsts: np.ndarray,
+        steps: np.ndarray,
+        counts: np.ndarray,
+    ):
+        self.__dict__.update(scheme=scheme, segments=segments, firsts=firsts, steps=steps, counts=counts)
 
     @functools.cached_property
     def positions(self) -> np.ndarray:
@@ -177,17 +197,17 @@ class TokenLayout:
         return (self.scheme, self.segments) == (other.scheme, other.segments)
 
 
-@dataclass(frozen=True)
-class BoundaryGap:
+class BoundaryGap(Frozen):
     """Per-dim jump at one video-to-text boundary.
 
     ``per_dim[i]`` is the first following text token's dim ``i`` minus the
     maximum of dim ``i`` over the video segment's tokens.
     """
 
-    video_segment: int
-    text_segment: int
-    per_dim: tuple[int, ...]
+    __match_args__ = ("video_segment", "text_segment", "per_dim")
+
+    def __init__(self, video_segment: int, text_segment: int, per_dim: tuple[int, ...]):
+        self.__dict__.update(video_segment=video_segment, text_segment=text_segment, per_dim=per_dim)
 
 
 _TEXT_RE = re.compile(r"^\s*text\s*:\s*([0-9]+)\s*$")

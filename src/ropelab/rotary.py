@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DimensionError, ParameterError
 
 # Most elements one array may hold when user input sets its size: 2**26
@@ -38,19 +38,22 @@ MAX_ARRAY_ELEMENTS = 2**26
 BLOCK_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
-class FrequencySchedule:
+class FrequencySchedule(Frozen):
     """Per-channel-pair rotation frequencies for a head of dimension ``d``.
 
     ``theta[j] = base ** (-2j/d)`` for ``j = 0 .. d/2 - 1``; ``theta[0]`` is
     exactly 1 and the sequence is strictly decreasing for ``base > 1``.
     Two schedules are equal when their ``base`` and ``d`` are; ``theta``
-    follows from them.
+    follows from them. :func:`build_frequency_schedule` validates and builds one.
     """
 
-    base: float
-    d: int
-    theta: np.ndarray = field(compare=False)
+    __match_args__ = ("base", "d", "theta")
+
+    def __init__(self, base: float, d: int, theta: np.ndarray):
+        self.__dict__.update(base=base, d=d, theta=theta)
+
+    def _key(self) -> tuple:
+        return self.base, self.d
 
     @property
     def pairs(self) -> int:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
 from .rotary import (
     FrequencySchedule,
@@ -40,20 +40,22 @@ from .rotary import (
 PositionVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VideoGrid:
-    """Token grid of one video: ``width x height`` cells over ``frames`` frames."""
+class VideoGrid(Frozen):
+    """Token grid of one video: ``width x height`` cells over ``frames`` frames.
 
-    width: int
-    height: int
-    frames: int
+    Sizes are stored as Python ints, so a numpy integer size cannot wrap
+    in ``token_count``.
+    """
 
-    def __post_init__(self):
-        for name, value in (("width", self.width), ("height", self.height), ("frames", self.frames)):
+    __match_args__ = ("width", "height", "frames")
+
+    def __init__(self, width: int, height: int, frames: int):
+        for name, value in (("width", width), ("height", height), ("frames", frames)):
             if not isinstance(value, numbers.Integral):
                 raise ParameterError(f"grid {name} must be an integer, got {value!r}")
             if value < 1:
                 raise ParameterError(f"grid {name} must be >= 1, got {value}")
+        self.__dict__.update(width=int(width), height=int(height), frames=int(frames))
 
     @property
     def tokens_per_frame(self) -> int:
@@ -95,13 +97,13 @@ SCHEME_IDS: tuple[str, ...] = tuple(_RULES)
 MAX_POSITION = 2**53  # pair_positions casts to float64, exact for integers up to here
 
 
-@dataclass(frozen=True)
-class TokenCoordinate:
+class TokenCoordinate(Frozen):
     """0-based cell coordinate of a video token: column ``w``, row ``h``, frame ``t``."""
 
-    w: int
-    h: int
-    t: int
+    __match_args__ = ("w", "h", "t")
+
+    def __init__(self, w: int, h: int, t: int):
+        self.__dict__.update(w=w, h=h, t=t)
 
 
 class SymmetricIndices(NamedTuple):
@@ -116,47 +118,43 @@ class SymmetricIndices(NamedTuple):
     u4: int
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(Frozen):
     """A scheme id plus head dimension, base, and optional channel partition.
 
     ``partition`` gives the number of channel pairs per group for rope2d
     (two sizes, order w/h) and rope3d/rope_compact (three sizes, order
     t/h/w); it must sum to ``d/2``. vrope's interleaved allocation is fixed
-    and takes no partition.
+    and takes no partition. ``d`` and the partition sizes are stored as
+    Python ints.
     """
 
-    scheme: str
-    d: int = 64
-    base: float = 10000.0
-    partition: tuple[int, ...] | None = None
+    __match_args__ = ("scheme", "d", "base", "partition")
 
-    def __post_init__(self):
-        if self.scheme not in SCHEME_IDS:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_IDS}")
-        check_head_params(self.d, self.base)
-        rule = _RULES[self.scheme]
-        if self.pairs % rule.pairs_divisor != 0:
-            raise ConfigError(
-                f"{self.scheme} needs d/2 divisible by {rule.pairs_divisor}, got d={self.d}"
-            )
-        if self.partition is not None:
-            if not all(isinstance(s, numbers.Integral) for s in self.partition):
-                raise ConfigError(f"partition sizes must be integers, got {self.partition!r}")
-            object.__setattr__(self, "partition", tuple(int(s) for s in self.partition))
+    def __init__(
+        self, scheme: str, d: int = 64, base: float = 10000.0, partition: tuple[int, ...] | None = None
+    ):
+        if scheme not in SCHEME_IDS:
+            raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
+        check_head_params(d, base)
+        d = int(d)
+        rule = _RULES[scheme]
+        if d // 2 % rule.pairs_divisor != 0:
+            raise ConfigError(f"{scheme} needs d/2 divisible by {rule.pairs_divisor}, got d={d}")
+        if partition is not None:
+            if not all(isinstance(s, numbers.Integral) for s in partition):
+                raise ConfigError(f"partition sizes must be integers, got {partition!r}")
+            partition = tuple(int(s) for s in partition)
             if not rule.takes_partition:
-                raise ConfigError(f"{self.scheme} does not take a partition")
-            if len(self.partition) != rule.groups:
+                raise ConfigError(f"{scheme} does not take a partition")
+            if len(partition) != rule.groups:
+                raise ConfigError(f"{scheme} partition needs {rule.groups} sizes, got {len(partition)}")
+            if any(s < 1 for s in partition):
+                raise ConfigError(f"partition sizes must be >= 1, got {partition}")
+            if sum(partition) != d // 2:
                 raise ConfigError(
-                    f"{self.scheme} partition needs {rule.groups} sizes, got {len(self.partition)}"
+                    f"partition {partition} sums to {sum(partition)}, expected d/2 = {d // 2}"
                 )
-            if any(s < 1 for s in self.partition):
-                raise ConfigError(f"partition sizes must be >= 1, got {self.partition}")
-            if sum(self.partition) != self.pairs:
-                raise ConfigError(
-                    f"partition {self.partition} sums to {sum(self.partition)}, "
-                    f"expected d/2 = {self.pairs}"
-                )
+        self.__dict__.update(scheme=scheme, d=d, base=base, partition=partition)
 
     @property
     def pairs(self) -> int:

@@ -266,8 +266,19 @@ CHECKS: tuple[tuple[str, object], ...] = (
 
 
 def run_selfcheck(stream=None) -> int:
-    """Run every invariant check; print one line per check. 0 if all pass, else 1."""
+    """Run every invariant check; print one line per check. 0 if all pass, else 1.
+
+    The checks are ``assert`` statements, which ``python -O`` strips. Under
+    it no check runs: one FAIL line names the cause, and the result is 1.
+    """
     stream = stream if stream is not None else sys.stdout
+    if sys.flags.optimize:
+        print(
+            f"FAIL selfcheck: python -O (sys.flags.optimize={sys.flags.optimize}) strips the "
+            "assert statements the checks are made of; run without -O or PYTHONOPTIMIZE",
+            file=stream,
+        )
+        return 1
     failures = 0
     for name, check in CHECKS:
         try:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,9 +187,20 @@ class TestBuildLayout:
         with pytest.raises(ParameterError, match="a layout of 100000000009 tokens .* budget"):
             layout_csv(layout)
 
-    def test_token_count_past_2_53_rejected(self):
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [VideoSegment(VideoGrid(2**27, 2**27, 1))],
+            # numpy sizes: int64 and int32 products that wrap, and an int64 sum that wraps
+            [VideoSegment(VideoGrid(np.int64(2**32), np.int64(2**32), np.int64(1)))],
+            [VideoSegment(VideoGrid(np.int64(2**31), np.int64(2**31), np.int64(4)))],
+            [VideoSegment(VideoGrid(np.int32(2**16), np.int32(2**16), np.int32(2**22)))],
+            [TextSegment(np.int64(2**62))] * 3,
+        ],
+        ids=["int", "int64_grid_2_64", "int64_grid_2_64x4", "int32_grid", "int64_text"],
+    )
+    def test_token_count_past_2_53_rejected(self, segments):
         # rope_share positions do not grow with W*H, so only the count bounds them
-        segments = [VideoSegment(VideoGrid(2**27, 2**27, 1))]
         with pytest.raises(ParameterError, match="2\\*\\*53 tokens"):
             build_layout(segments, _config("rope_share"))
 
