@@ -6,13 +6,11 @@ Every row-blocked pass walks its rows through :func:`row_blocks`, at most
 flat list and ``row_format * n`` is filled in one C-level ``%`` call. The
 result equals ``"".join(row_format % row for row in zip(*columns))``, since
 ``%`` formats each field on its own whatever text surrounds it. A writer
-that builds its own block text (the layout CSV's per-frame row templates)
-fills it through :func:`fill_rows`.
+that builds its own block text (the layout CSV's frame template) fills it
+through :func:`fill_rows`.
 """
 
 from __future__ import annotations
-
-import functools
 
 # rows per block in every row-blocked pass
 BLOCK_ROWS = 4096
@@ -38,12 +36,6 @@ def row_blocks(start: int, stop: int, frame: int | None = None):
         start = end
 
 
-@functools.lru_cache(maxsize=4)
-def _template(row_format: str, rows: int) -> str:
-    # writers format many blocks of one length in a row; the rest are tails
-    return row_format * rows
-
-
 def format_block(row_format: str, columns) -> str:
     """``row_format`` filled once per row of ``columns``, the rows concatenated.
 
@@ -51,7 +43,7 @@ def format_block(row_format: str, columns) -> str:
     ``%`` field of ``row_format``, in field order; ``row_format`` ends each
     row itself (with ``"\\n"``).
     """
-    return fill_rows(_template(row_format, len(columns[0])), columns)
+    return fill_rows(row_format * len(columns[0]), columns)
 
 
 def fill_rows(text: str, columns) -> str:

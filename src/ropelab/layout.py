@@ -8,7 +8,8 @@ continuation rules included, into an affine grid, from which the per-token
 and :func:`layout_csv` all read one walk over the grids' blocks of rows,
 each one array of cells and positions, which cuts every frame of a video
 at the same in-frame rows, if at all. :func:`layout_csv_blocks` yields that
-CSV a block at a time through one row writer for text and video;
+CSV a block at a time through one row writer for text and video, which holds
+at most one frame template of ``BLOCK_ROWS`` rows beside a block;
 :func:`layout_csv` is their join.
 :func:`boundary_gaps` measures the per-dim jump at every video-to-text
 boundary.
@@ -404,11 +405,14 @@ class _Rows:
 
     A row's columns ``w, h, t, dim0..`` are each affine in the cell
     ``(w, h, t)``, with unit steps for the cell's own columns and the
-    segment's ``steps`` for the dims. A segment of one frame is written a
-    block at a time by one ``%`` over its row format, in which a column with
-    no w or h step is literal text. A segment of more frames is filled from
-    row templates, one per in-frame row range, kept for its later frames; a
-    column's steps decide how it is written:
+    segment's ``steps`` for the dims. A block that lies in one frame (a text
+    run, a one-frame video, or an in-frame row range of a frame wider than a
+    block) is written by one ``%`` over its row format, in which a column
+    with no w or h step is literal text, taken from the block's first row.
+    A block of whole frames of a segment of more frames is filled from one
+    frame's row template instead, built on the segment's first such block
+    and so at most ``BLOCK_ROWS`` rows; a column's steps decide how it is
+    written there:
 
     - no t-step: the same in every frame, so literal text in the template;
     - only a t-step: one value per frame, written into a copy of the
@@ -418,64 +422,55 @@ class _Rows:
     """
 
     def __init__(self, layout: TokenLayout, index: int, end: str):
-        width, height, frames = layout.counts[index].tolist()
+        width, height, self.frames = layout.counts[index].tolist()
         text = isinstance(layout.segments[index], TextSegment)
         steps = np.concatenate((np.identity(3, dtype=np.int64), layout.steps[index]), axis=1)
-        moves = steps[:2].any(axis=0)  # a w or h step: the column varies within a frame
-        if frames == 1:  # a column varies per row or holds the first cell's value
-            kinds = np.where(moves, "row", "fixed").tolist()
-            if text:
-                kinds[:3] = ["fixed"] * 3
-        else:
-            kinds = np.where(steps[2] == 0, "baked", np.where(moves, "row", "frame")).tolist()
-        first_cell = ["", "", ""] if text else ["0", "0", "0"]  # a text run's w/h/t are empty
-        first_cell += map(str, layout.firsts[index].tolist())
-        field = "%d" if frames == 1 else "%%d"  # a template keeps its per-row fields escaped
-        fields = []
-        self.index = index
+        moves = steps[:2].any(axis=0).tolist()  # a w or h step: the column varies within a frame
+        columns = range(3 if text else 0, len(moves))  # a text run's w/h/t are empty
+        prefix = f"%%d,{'text' if text else 'video'},{index},"
+        row_fields = ",".join("%%d" if moves[column] else "%d" for column in columns)
+        self.row_format = prefix + ",,," * text + row_fields + end
+        self.fixed = [column for column in columns if not moves[column]]
+        self.varying = [column for column in columns if moves[column]]
+        self.index, self.frame = index, width * height
+        self.template = None  # built on the first block of whole frames
         self.baked: list[int] = []  # columns written into the template
         self.runs: list[list[int]] = []  # runs of adjacent per-frame columns, one per sentinel
-        self.varying: list[int] = []  # columns filled per row
-        for column, kind in enumerate(kinds):
-            if kind == "fixed":
-                fields.append(first_cell[column])
-            elif kind == "baked":
+        self.per_row: list[int] = []  # the template's columns filled per row
+        frame_fields = []
+        for column, (move, step) in enumerate(zip(moves, steps[2].tolist())):
+            if step == 0:
                 self.baked.append(column)
-                fields.append("%d")  # filled when the template is built
-            elif kind == "row":
-                self.varying.append(column)
-                fields.append(field)
+                frame_fields.append("%d")  # filled when the template is built
+            elif move:
+                self.per_row.append(column)
+                frame_fields.append("%%d")
             elif self.runs and self.runs[-1][-1] == column - 1:
                 self.runs[-1].append(column)
             else:
-                fields.append(chr(len(self.runs)))  # no row text holds a control character
+                frame_fields.append(chr(len(self.runs)))  # no row text holds a control character
                 self.runs.append([column])
-        self.row_format = f"{field},{'text' if text else 'video'},{index}," + ",".join(fields) + end
-        self.frame = width * height
-        self.templates: dict[tuple[int, int, int], str] | None = {} if frames > 1 else None
+        self.frame_format = prefix + ",".join(frame_fields) + end
 
     def block(self, first: int, values: np.ndarray) -> str:
         """The rows of one :func:`_blocks` block, row ``first`` onwards, from its ``values``.
 
-        A block is whole frames or one in-frame row range, so its first ``rows``
-        rows span one frame's part and every later frame of the block repeats their cells.
+        A block is whole frames or one in-frame row range.
         """
-        columns = [range(first, first + len(values)), *values[:, self.varying].T.tolist()]
-        if self.templates is None:
-            return format_block(self.row_format, columns)
-        rows = min(len(values), self.frame)
-        key = (*values[0, :2].tolist(), rows)  # the range's first (w, h) and length
-        template = self.templates.get(key)
-        if template is None:
-            template = format_block(self.row_format, values[:rows, self.baked].T.tolist())
-            self.templates[key] = template
-        frames = [template] * (len(values) // rows)
+        rows = range(first, first + len(values))
+        if self.frames == 1 or len(values) < self.frame:  # the block lies in one frame
+            row_format = self.row_format % tuple(values[0, self.fixed].tolist())
+            return format_block(row_format, [rows, *values[:, self.varying].T.tolist()])
+        if self.template is None:
+            baked = values[: self.frame, self.baked].T.tolist()
+            self.template = format_block(self.frame_format, baked)
+        frames = [self.template] * (len(values) // self.frame)
         for sentinel, run in enumerate(self.runs):
             # each frame's text for the run, all formatted by one %
             run_format = ",".join(["%d"] * len(run)) + "\n"
-            texts = format_block(run_format, values[::rows, run].T.tolist()).split("\n")
+            texts = format_block(run_format, values[:: self.frame, run].T.tolist()).split("\n")
             frames = [text.replace(chr(sentinel), value) for text, value in zip(frames, texts)]
-        return fill_rows("".join(frames), columns)
+        return fill_rows("".join(frames), [rows, *values[:, self.per_row].T.tolist()])
 
 
 _CSV_INT_RE = re.compile(r"-?[0-9]+")

@@ -335,8 +335,8 @@ def reference_csv(tokens) -> str:
 # segment straddle a block edge at every block size tested
 LONG_SPEC = "text:4100,video:3x2x2,text:2,video:64x8x9,text:1,video:4099x1x1"
 # two frames of 4225 cells each: every block size tested cuts each frame into
-# row ranges, one template per range, and a 4096-row block of rows would cross
-# the frame edge
+# in-frame row ranges, each written without a template, and a 4096-row block of
+# rows would cross the frame edge
 TWO_FRAME_SPEC = "text:3,video:65x65x2,text:1"
 # a text run and a one-frame 70x60 video, each longer than one 4096-row block:
 # one-frame segments are written without templates, a block's rows spanning frame rows
