@@ -10,8 +10,9 @@ estimates the same quantity through the actual rotation path, with only
 the seed and trial count in its :class:`TrialConfig`; trial ``r`` draws
 ``standard_normal(d)`` from numpy's PCG64 seeded by
 ``SeedSequence([seed, r])``, so each trial's vector does not depend on
-evaluation order or parallelism. The seeding runs in bulk, for a draw of
-trials at once (:func:`_trial_normals`), and gives exactly the vectors of
+evaluation order or parallelism. The ``SeedSequence`` hash runs in bulk,
+for a draw of trials at once (:func:`_trial_normals`), and numpy seeds each
+trial's PCG64 from its hashed words, so the vectors are exactly those of
 ``default_rng(SeedSequence([seed, r]))``; a test holds it to numpy's own
 seeding. The trial loop has two levels. A draw holds the normals of a
 whole number of key blocks, at most ``rotary.BLOCK_ELEMENTS`` = 2**16 values
@@ -57,16 +58,12 @@ from .schemes import (
 )
 
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix and mix
 # constants of its 4-word uint32 pool and of generate_state
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
-# PCG64's 128-bit LCG multiplier, PCG_DEFAULT_MULTIPLIER_128
-# (numpy/random/src/pcg64/pcg64.h), used by pcg_setseq_128_srandom_r
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class ScoreGrid(Frozen):
@@ -148,6 +145,8 @@ def _frame_pair_positions(
     config: SchemeConfig, grid: VideoGrid, frame: int
 ) -> np.ndarray:
     """Per-pair positions of every cell of one frame, shape (W, H, pairs)."""
+    if not isinstance(frame, numbers.Integral):
+        raise CoordinateError(f"frame index must be an integer, got {frame!r}")
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
     check_array_budget(grid.tokens_per_frame * config.pairs, f"a {grid.width}x{grid.height} frame")
@@ -228,10 +227,8 @@ def monte_carlo_heatmap(
     scratch = rotation_scratch(rk_block.shape)
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
-    # one generator for every draw: its state is set per trial, so its own seed is never drawn
-    generator = np.random.Generator(np.random.PCG64(0))
     for first in range(0, trials, draw):
-        normals = _trial_normals(generator, seed, first, min(first + draw, trials), d)
+        normals = _trial_normals(seed, first, min(first + draw, trials), d)
         for start in range(0, len(normals), chunk):
             x = normals[start : start + chunk]
             n = len(x)
@@ -243,21 +240,18 @@ def monte_carlo_heatmap(
     )
 
 
-def _trial_normals(
-    generator: np.random.Generator, seed: int, start: int, stop: int, d: int
-) -> np.ndarray:
+def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
 
     For every trial ``r`` in ``[start, stop)`` at once, this computes
     numpy's ``SeedSequence`` pool from the entropy words ``[seed, r]`` and
-    its ``generate_state(4, uint64)`` in vectorized uint32 arithmetic.
-    PCG64's seeding (``pcg_setseq_128_srandom_r``) then runs per trial in
-    Python ints, and ``generator``, which must be backed by a ``PCG64``,
-    takes each trial's state in turn and draws into its row; its prior
-    state does not matter. ``seed`` and ``r`` are below 2**64, so the words
-    never outnumber the pool. numpy hashes a pool word the input lacks as
-    a zero word, so ``r``'s high word can be passed for every trial: a
-    trial below 2**32, one word in numpy's entropy, gets the same pool.
+    its ``generate_state(4, uint64)`` in vectorized uint32 arithmetic, one
+    row of four words per trial. numpy then seeds each trial's ``PCG64``
+    from its row and draws into its row of the output. ``seed`` and ``r``
+    are below 2**64, so the words never outnumber the pool. numpy hashes a
+    pool word the input lacks as a zero word, so ``r``'s high word can be
+    passed for every trial: a trial below 2**32, one word in numpy's
+    entropy, gets the same pool.
     """
     trials = np.arange(start, stop, dtype=np.uint64)
     n = len(trials)
@@ -290,22 +284,20 @@ def _trial_normals(
         value = value * hash_const
         state_words.append((value ^ (value >> 16)).astype(np.uint64))
     # generate_state(4, uint64) pairs the words little-endian: seed high, low, inc high, low
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (state_words[2 * k] | state_words[2 * k + 1] << 32).tolist() for k in range(4)
-    )
-    bit_generator = generator.bit_generator
+    generated = np.stack(state_words[0::2], axis=1) | np.stack(state_words[1::2], axis=1) << 32
+    # imported here: numpy.random.bit_generator loads numpy.random, which the CLI's import avoids
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):  # PCG64 seeds itself from generate_state(4, uint64)
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     out = np.empty((n, d), dtype=np.float64)
-    for row, s_hi, s_lo, i_hi, i_lo in zip(out, seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        # from state 0: step, add the seed, step
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
+    for row, trial_words in zip(out, generated):
+        np.random.Generator(np.random.PCG64(GivenState(trial_words))).standard_normal(out=row)
     return out
 
 
@@ -319,6 +311,9 @@ def softmax_grid(grid: ScoreGrid) -> ScoreGrid:
 
 def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     """Expected self-score at uniform per-pair offsets 0..``max_delta``."""
+    if not isinstance(max_delta, numbers.Integral):
+        raise ParameterError(f"max_delta must be an integer, got {max_delta!r}")
+    max_delta = int(max_delta)
     if max_delta < 1:
         raise ParameterError(f"max_delta must be >= 1, got {max_delta}")
     check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")

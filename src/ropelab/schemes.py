@@ -226,7 +226,11 @@ def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int
     positions of shape ``broadcast(w, h, t).shape + (group_count,)``.
     """
     matrix, offsets, _ = video_map(config, grid, p_start)
-    return np.stack(np.broadcast_arrays(w, h, t), axis=-1, dtype=np.int64) @ matrix + offsets
+    # video_map bounds every coordinate the positions read; one they ignore (a
+    # zero row, such as rope2d's t) may lie past int64 in a long video
+    coords = (w, h, t)
+    cells = [c if row.any() else np.zeros(np.shape(c), np.int64) for c, row in zip(coords, matrix)]
+    return np.stack(np.broadcast_arrays(*cells), axis=-1, dtype=np.int64) @ matrix + offsets
 
 
 def group_allocation(config: SchemeConfig) -> np.ndarray:

@@ -1,12 +1,14 @@
 """CLI tests: golden outputs, exit codes, determinism, SVG rendering."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ropelab
-from ropelab import csvblock
+from ropelab import csvblock, rotary
 from ropelab import (
     SCHEME_IDS,
     RopelabError,
@@ -51,6 +53,86 @@ POSITIONS_GOLDEN = (
 )
 
 DECAY_GOLDEN = "delta,value\n0,1.000000\n1,0.540302\n2,-0.416147\n3,-0.989992\n"
+
+# sha256 of the stdout of `heatmap --mc --video 3x2x2 --frame 1 --d 16 --trials 500`
+# per (scheme, --seed); 2**32 + 7 is a two-word seed. A version that changes
+# any Monte-Carlo output bytes must update these and say so in CHANGES.md.
+MC_STDOUT_SHA256 = {
+    ("rope1d", 7): "64d8bf6919165c81ab9ccfc0e21b517cea00b6b2df988eb6169604a4fcc0da24",
+    ("rope2d", 7): "77082acf6906e8c05c65f567dec41f0583444b73c4a28d5fa08bc644ed1136fc",
+    ("rope3d", 7): "a1ef2b5bbbfc1d131f9bd073aee7fde3d88ac6069960476f9dd5ae03fe45201c",
+    ("rope_share", 7): "5ffa63acc9ec4fbd5d47326e83f7c66cd51a5c72dd164457b488c9a60ebbe18e",
+    ("rope_compact", 7): "bc169c48615934f3b6c4900dde1caf6822ac4b50eb01452d80d164c1e5b335b7",
+    ("vrope", 7): "4c5626880a55f97283375df78a0f7b57e5b8072f6d9caa236aca71caff32252a",
+    ("rope1d", 4294967303): "42afd8ce7e09ecd2318141a4274e1e447387ce6533f15671ee70784b7c5424c3",
+    ("rope2d", 4294967303): "bdb16e804bd3cef08662f25a4189ff96d3c842a5881d886e0c3577fb271d5803",
+    ("rope3d", 4294967303): "63ead15de7e0d61aa348510d2353c8df0d77cb532d626d9f6c3b70e87f6dfa27",
+    ("rope_share", 4294967303): "527c62b983e9626e8d3a91fe2366ee014593f4ad5a7d97559cf20627507283cb",
+    ("rope_compact", 4294967303): "9482e46d900f907e4c068368e24e083b825b65c924e66d766ffe99ccf155e0dd",
+    ("vrope", 4294967303): "f836d46ef8728eaa5f61b3963b970d44f5126841b1297fb37de1af82aa64872c",
+}
+
+
+# argv pieces for the CLI property: numbers at the edges of each parser and check
+EDGE_NUMBERS = (
+    "0", str(2**53 - 1), str(2**53), str(2**53 + 1), str(2**64 - 1), str(2**64),
+    str(2**64 + 1), "1e-320", "1e308", "-1", "1.5", "\uff13", "\u0662",
+)
+SMALL = st.integers(1, 4).map(str)
+NUMBER = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(EDGE_NUMBERS))  # three in four are small
+VIDEO = st.one_of(st.tuples(SMALL, SMALL, SMALL), st.tuples(NUMBER, NUMBER, NUMBER)).map("x".join)
+PARTITION = st.lists(NUMBER, max_size=5).map(":".join)
+LAYOUT = st.lists(
+    NUMBER.map("text:{}".format) | VIDEO.map("video:{}".format), min_size=1, max_size=3
+).map(",".join)
+# an accepted 2**64 trials would run without end; 0 and 2**64 + 1 are refused
+TRIALS = st.one_of(*[st.integers(1, 64).map(str)] * 3, st.sampled_from(("0", str(2**64 + 1))))
+
+
+def _argv(*parts):
+    """An argv strategy: each part is a list of words or a strategy of one."""
+    lists = [st.just(part) if isinstance(part, list) else part for part in parts]
+    return st.tuples(*lists).map(lambda words: sum(words, []))
+
+
+def _flag(name, values):
+    """``[name, value]``, or as often no flag."""
+    return st.just([]) | values.map(lambda value: [name, value])
+
+
+SCHEME = st.sampled_from(SCHEME_IDS).map(lambda scheme: ["--scheme", scheme])
+NUMERIC_FLAGS = (
+    _flag("--d", st.one_of(*[st.sampled_from(("2", "4", "8", "16"))] * 2, NUMBER)),
+    _flag("--base", st.just("10000") | NUMBER),
+)
+HEATMAP_FLAGS = (
+    SCHEME,
+    VIDEO.map(lambda video: ["--video", video]),
+    _flag("--frame", st.integers(0, 3).map(str) | NUMBER),
+    _flag("--query-gap", NUMBER),
+    _flag("--partition", PARTITION),
+    st.sampled_from(([], ["--softmax"])),
+    *NUMERIC_FLAGS,
+)
+ARGV = st.one_of(
+    _argv(
+        ["positions"], SCHEME, LAYOUT.map(lambda spec: ["--layout", spec]),
+        _flag("--partition", PARTITION), *NUMERIC_FLAGS,
+    ),
+    _argv(["heatmap"], *HEATMAP_FLAGS),
+    _argv(
+        ["heatmap", "--mc"], *HEATMAP_FLAGS, _flag("--seed", NUMBER),
+        TRIALS.map(lambda trials: ["--trials", trials]),
+    ),
+    _argv(["decay"], NUMBER.map(lambda delta: ["--max-delta", delta]), *NUMERIC_FLAGS),
+    _argv(
+        ["boundary"],
+        st.sampled_from(SCHEME_IDS + ("all",)).map(lambda scheme: ["--scheme", scheme]),
+        VIDEO.map(lambda video: ["--video", video]),
+        _flag("--partition", PARTITION),
+        *NUMERIC_FLAGS,
+    ),
+)
 
 
 class TestPositions:
@@ -242,6 +324,14 @@ class TestHeatmap:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("scheme,seed", list(MC_STDOUT_SHA256))
+    def test_monte_carlo_stdout_pinned(self, scheme, seed, capsys):
+        argv = ["heatmap", "--mc", "--scheme", scheme, "--video", "3x2x2", "--frame", "1",
+                "--d", "16", "--trials", "500", "--seed", str(seed)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == MC_STDOUT_SHA256[scheme, seed]
+
     def test_softmax_flag(self, capsys):
         rc = main(["heatmap", "--scheme", "vrope", "--video", "2x2x1", "--d", "8", "--softmax"])
         assert rc == 0
@@ -393,6 +483,29 @@ class TestExitCodes:
             assert rc == 0 and out.getvalue().startswith("token_index,")
         else:
             assert rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=ARGV)
+    def test_any_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # a small budget keeps every accepted job small; refusals still exit 2
+        with mock.patch.object(rotary, "MAX_ARRAY_ELEMENTS", 2**12):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    rc = exc.code
+        assert rc in (0, 2, 3), err.getvalue()
+        if rc == 2:
+            assert out.getvalue() == ""
+        if rc != 0:
+            return
+        lines = out.getvalue().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        fields = [f for row in rows for f in row if f not in ("", "text", "video", *SCHEME_IDS)]
+        assert all(np.isfinite(float(field)) for field in fields)
+        if argv[0] == "boundary" or (argv[0] == "heatmap" and "--mc" not in argv):
+            assert all(-1 <= float(row[-1]) <= 1 for row in rows)
 
     def test_incompatible_dimension_exits_2(self, capsys):
         rc = main(["positions", "--scheme", "vrope", "--layout", "text:1", "--d", "6"])

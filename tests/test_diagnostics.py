@@ -110,6 +110,24 @@ class TestHeatmap:
         with pytest.raises(CoordinateError):
             heatmap(config, VideoGrid(2, 2, 1), 1, (5, 5, 5, 5))
 
+    @pytest.mark.parametrize("frame", [1.0, 0.5, np.float64(1.0), "1", None])
+    def test_frame_must_be_an_integer(self, frame):
+        config = SchemeConfig("vrope", d=8)
+        video = VideoGrid(2, 2, 2)
+        query = (5, 5, 5, 5)
+        with pytest.raises(CoordinateError, match="integer"):
+            heatmap(config, video, frame, query)
+        assert heatmap(config, video, np.int64(1), query) == heatmap(config, video, 1, query)
+
+    def test_frame_past_int64_where_positions_ignore_t(self):
+        # rope2d's positions ignore t, so frame 2**64 scores as frame 0 does
+        config = SchemeConfig("rope2d", d=8)
+        long_video, short_video = VideoGrid(2, 2, 2**64 + 1), VideoGrid(2, 2, 1)
+        query = text_start_after_video(config, long_video, 0)
+        assert query == text_start_after_video(config, short_video, 0)
+        far = heatmap(config, long_video, 2**64, query)
+        assert np.array_equal(far.values, heatmap(config, short_video, 0, query).values)
+
     def test_frame_over_array_budget(self):
         config = SchemeConfig("vrope", d=8)
         with pytest.raises(ParameterError, match="budget"):
@@ -163,6 +181,13 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, 8)
         with pytest.raises(ParameterError):
             decay_curve(schedule, 0)
+
+    @pytest.mark.parametrize("max_delta", [2.5, 2.0, np.float64(2.0), "2", None])
+    def test_max_delta_must_be_an_integer(self, max_delta):
+        schedule = build_frequency_schedule(10000.0, 8)
+        with pytest.raises(ParameterError, match="integer"):
+            decay_curve(schedule, max_delta)
+        assert decay_curve(schedule, np.uint8(2)) == decay_curve(schedule, 2)
 
     def test_max_delta_over_array_budget(self):
         schedule = build_frequency_schedule(10000.0, 8)
@@ -294,6 +319,16 @@ class TestMonteCarloHeatmap:
         first = monte_carlo_heatmap(config, video, 0, (7,), trial_config)
         second = monte_carlo_heatmap(config, video, 0, (7,), trial_config)
         assert np.array_equal(first.values, second.values)
+
+    @pytest.mark.parametrize("frame", [0.5, 1.0, np.float64(1.0), "1", None])
+    def test_frame_must_be_an_integer(self, frame):
+        config = SchemeConfig("rope3d", d=8)
+        video = VideoGrid(3, 2, 2)
+        trial_config = TrialConfig(seed=3, trials=8)
+        with pytest.raises(CoordinateError, match="integer"):
+            monte_carlo_heatmap(config, video, frame, (4, 4, 4), trial_config)
+        sampled = monte_carlo_heatmap(config, video, np.int32(1), (4, 4, 4), trial_config)
+        assert sampled == monte_carlo_heatmap(config, video, 1, (4, 4, 4), trial_config)
 
     def test_trial_config_validation(self):
         with pytest.raises(ParameterError):
@@ -473,14 +508,12 @@ class TestTrialNormals:
     @pytest.mark.parametrize("start,stop", [(0, 1), (0, 257), (9990, 10000), (2**32 - 2, 2**32 + 2)])
     @pytest.mark.parametrize("seed", [0, 1, 20240701, 2**32 - 1, 2**32, 2**64 - 1])
     def test_matches_numpy_seeding(self, seed, start, stop):
-        # one generator for every call, as monte_carlo_heatmap passes it; its state carries over
-        generator = np.random.default_rng(seed)
         for d in (2, 8, 64):
             expected = np.stack([
                 np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(d)
                 for r in range(start, stop)
             ])
-            normals = diagnostics._trial_normals(generator, seed, start, stop, d)
+            normals = diagnostics._trial_normals(seed, start, stop, d)
             assert np.array_equal(normals, expected)
 
 
