@@ -240,6 +240,21 @@ def monte_carlo_heatmap(
     )
 
 
+@functools.cache
+def _given_state() -> type:
+    """An ``ISeedSequence`` of given words, built on first use: its import loads numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenState
+
+
 def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
 
@@ -285,19 +300,10 @@ def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
         state_words.append((value ^ (value >> 16)).astype(np.uint64))
     # generate_state(4, uint64) pairs the words little-endian: seed high, low, inc high, low
     generated = np.stack(state_words[0::2], axis=1) | np.stack(state_words[1::2], axis=1) << 32
-    # imported here: numpy.random.bit_generator loads numpy.random, which the CLI's import avoids
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenState(ISeedSequence):  # PCG64 seeds itself from generate_state(4, uint64)
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
+    given_state = _given_state()
     out = np.empty((n, d), dtype=np.float64)
     for row, trial_words in zip(out, generated):
-        np.random.Generator(np.random.PCG64(GivenState(trial_words))).standard_normal(out=row)
+        np.random.Generator(np.random.PCG64(given_state(trial_words))).standard_normal(out=row)
     return out
 
 
