@@ -242,7 +242,7 @@ def monte_carlo_heatmap(
 
 @functools.cache
 def _given_state() -> type:
-    """An ``ISeedSequence`` of given words, built on first use: its import loads numpy.random."""
+    """An ``ISeedSequence`` class that returns given words; its import loads numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
 
     class GivenState(ISeedSequence):

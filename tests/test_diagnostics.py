@@ -187,7 +187,8 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, 8)
         with pytest.raises(ParameterError, match="integer"):
             decay_curve(schedule, max_delta)
-        assert decay_curve(schedule, np.uint8(2)) == decay_curve(schedule, 2)
+        # a numpy integer is taken as a Python int, so max_delta + 1 cannot wrap in uint8
+        assert decay_curve(schedule, np.uint8(255)) == decay_curve(schedule, 255)
 
     def test_max_delta_over_array_budget(self):
         schedule = build_frequency_schedule(10000.0, 8)
