@@ -85,8 +85,10 @@ PARTITION = st.lists(NUMBER, max_size=5).map(":".join)
 LAYOUT = st.lists(
     NUMBER.map("text:{}".format) | VIDEO.map("video:{}".format), min_size=1, max_size=3
 ).map(",".join)
+EVEN = st.sampled_from(("2", "4", "8", "16"))
 # an accepted 2**64 trials would run without end; 0 and 2**64 + 1 are refused
-TRIALS = st.one_of(*[st.integers(1, 64).map(str)] * 3, st.sampled_from(("0", str(2**64 + 1))))
+ACCEPTED_TRIALS = st.integers(1, 64).map(str)
+TRIALS = st.one_of(ACCEPTED_TRIALS, ACCEPTED_TRIALS, st.sampled_from(("0", str(2**64 + 1))))
 
 
 def _argv(*parts):
@@ -102,7 +104,7 @@ def _flag(name, values):
 
 SCHEME = st.sampled_from(SCHEME_IDS).map(lambda scheme: ["--scheme", scheme])
 NUMERIC_FLAGS = (
-    _flag("--d", st.one_of(*[st.sampled_from(("2", "4", "8", "16"))] * 2, NUMBER)),
+    _flag("--d", st.one_of(EVEN, EVEN, NUMBER)),
     _flag("--base", st.just("10000") | NUMBER),
 )
 HEATMAP_FLAGS = (
