@@ -20,7 +20,7 @@ from .diagnostics import (
     decay_csv,
     decay_curve,
     heatmap,
-    heatmap_csv,
+    heatmap_csv_blocks,
     monte_carlo_heatmap,
     softmax_grid,
 )
@@ -29,7 +29,7 @@ from .layout import TextSegment, VideoSegment, build_layout, layout_csv_blocks, 
 from .rotary import build_frequency_schedule
 from .schemes import SCHEME_IDS, SchemeConfig, VideoGrid, text_start_after_video
 from .selfcheck import run_selfcheck
-from .svg import heatmap_svg
+from .svg import heatmap_svg_blocks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,6 +120,13 @@ def _write(output, text: str) -> None:
     output.write(text)
 
 
+def _write_blocks(path: str, blocks) -> None:
+    """Write each text of ``blocks`` to the output of ``path`` in turn, never their join."""
+    with _output(path) as output:
+        for block in blocks:
+            _write(output, block)
+
+
 def _scheme_config(args, scheme: str | None = None) -> SchemeConfig:
     scheme = scheme if scheme is not None else args.scheme
     # SchemeConfig decides which schemes take a partition
@@ -130,10 +137,7 @@ def _cmd_positions(args) -> int:
     config = _scheme_config(args)
     segments = parse_layout_spec(args.layout)
     # the budget is checked here, before --out is opened
-    blocks = layout_csv_blocks(build_layout(segments, config))
-    with _output(args.out) as output:
-        for block in blocks:  # one block's text at a time, never the whole CSV
-            _write(output, block)
+    _write_blocks(args.out, layout_csv_blocks(build_layout(segments, config)))
     return EXIT_OK
 
 
@@ -152,13 +156,9 @@ def _cmd_heatmap(args) -> int:
         grid = heatmap(config, args.video, args.frame, query)
     if args.softmax:
         grid = softmax_grid(grid)
-    text = heatmap_csv(grid)
     if args.svg:  # written first, so a failed SVG leaves the CSV unwritten
-        svg = heatmap_svg(grid)
-        with _output(args.svg) as output:
-            _write(output, svg)
-    with _output(args.out) as output:
-        _write(output, text)
+        _write_blocks(args.svg, heatmap_svg_blocks(grid))
+    _write_blocks(args.out, heatmap_csv_blocks(grid))
     return EXIT_OK
 
 

@@ -20,8 +20,9 @@ whole number of key blocks, at most ``rotary.BLOCK_ELEMENTS`` = 2**16 values
 size. A key block of those trials is rotated and summed, with at most
 ``BLOCK_ELEMENTS`` rotated keys (one trial's, where those are more).
 The query's and the frame's rotation factors are computed once per call,
-and every block is rotated into the same output and scratch buffers,
-allocated once per call; the bits are those of :func:`~ropelab.rotary.rotate`.
+every draw is written into one normals buffer and every block is rotated
+into the same output and scratch buffers, all allocated once per call;
+the bits are those of :func:`~ropelab.rotary.rotate`.
 The output is fixed for a given version, seed and trial count; a version that
 changes the key blocks or the summation order may differ in the last
 bits, which can flip a 6th decimal. How trials are grouped into draws
@@ -77,6 +78,11 @@ class ScoreGrid(Frozen):
 
     def __init__(self, values: np.ndarray, scheme: SchemeConfig, query: PositionVector, frame: int):
         self.__dict__.update(values=values, scheme=scheme, query=query, frame=frame)
+
+    @functools.cached_property
+    def value_range(self) -> tuple[float, float]:
+        """``(min, max)`` of ``values`` as floats, computed on first read."""
+        return float(self.values.min()), float(self.values.max())
 
     def __eq__(self, other):
         if not isinstance(other, ScoreGrid):
@@ -193,10 +199,12 @@ def monte_carlo_heatmap(
     8x8 frame at ``d=64`` has 16-trial blocks and 1024-trial draws, so 10k
     trials take 10 draws; neither a draw nor a block's rotated keys holds
     more than 2**16 values (512 KiB), or one trial's keys where those are
-    more. Every block's rotated keys go into one buffer of a block, and the
-    rotation's second product into a scratch of half a block (split as
-    :func:`~ropelab.rotary.rotate_into` splits it), both allocated once per
-    call. Memory stays bounded by the block, not by the trial count, and
+    more. Every draw's normals go into one buffer of a draw, every block's
+    rotated keys into one buffer of a block, and the rotation's second
+    product into a scratch of half a block (split as
+    :func:`~ropelab.rotary.rotate_into` splits it; a query block it holds
+    whole is formed in one piece), all allocated once per call. Memory
+    stays bounded by the draw and the block, not by the trial count, and
     the sums are those of the blocks alone.
 
     Raises:
@@ -227,8 +235,10 @@ def monte_carlo_heatmap(
     scratch = rotation_scratch(rk_block.shape)
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
+    # every draw's normals go into this, so no draw sits beside the one before
+    normals_buffer = np.empty((min(draw, trials), d), dtype=np.float64)
     for first in range(0, trials, draw):
-        normals = _trial_normals(seed, first, min(first + draw, trials), d)
+        normals = _trial_normals(seed, first, min(first + draw, trials), d, normals_buffer)
         for start in range(0, len(normals), chunk):
             x = normals[start : start + chunk]
             n = len(x)
@@ -255,7 +265,7 @@ def _given_state() -> type:
     return GivenState
 
 
-def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
+def _trial_normals(seed: int, start: int, stop: int, d: int, out=None) -> np.ndarray:
     """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
 
     For every trial ``r`` in ``[start, stop)`` at once, this computes
@@ -267,6 +277,10 @@ def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     pool word the input lacks as a zero word, so ``r``'s high word can be
     passed for every trial: a trial below 2**32, one word in numpy's
     entropy, gets the same pool.
+
+    The rows are drawn into the first ``stop - start`` rows of ``out`` (a
+    float64 array of ``d`` columns, allocated here when None), and those
+    rows are returned.
     """
     trials = np.arange(start, stop, dtype=np.uint64)
     n = len(trials)
@@ -301,7 +315,7 @@ def _trial_normals(seed: int, start: int, stop: int, d: int) -> np.ndarray:
     # generate_state(4, uint64) pairs the words little-endian: seed high, low, inc high, low
     generated = np.stack(state_words[0::2], axis=1) | np.stack(state_words[1::2], axis=1) << 32
     given_state = _given_state()
-    out = np.empty((n, d), dtype=np.float64)
+    out = np.empty((n, d), dtype=np.float64) if out is None else out[:n]
     for row, trial_words in zip(out, generated):
         np.random.Generator(np.random.PCG64(given_state(trial_words))).standard_normal(out=row)
     return out
@@ -381,19 +395,29 @@ def boundary_score_table(layout: TokenLayout) -> tuple[BoundaryScore, ...]:
     return tuple(rows)
 
 
-def heatmap_csv(grid: ScoreGrid) -> str:
-    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values.
+def heatmap_csv(grid: ScoreGrid, cells: range | None = None) -> str:
+    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values, or the part for ``cells``.
 
-    Rows are formatted a block at a time (see :func:`~ropelab.csvblock.row_blocks`).
+    ``cells`` is a range of cells in scanline order (``h`` outer, ``w``
+    inner), formatted by one :func:`~ropelab.csvblock.format_block`; its part
+    holds the header when it starts at cell 0, so the parts of consecutive
+    ranges join into the CSV. Without ``cells`` the CSV is the join of
+    :func:`heatmap_csv_blocks`.
     """
-    width = grid.values.shape[0]
-    values = grid.values.T.ravel()  # scanline order: h outer, w inner
-    pieces = ["w,h,value\n"]
-    for rows in row_blocks(0, len(values)):
-        h, w = np.divmod(np.arange(rows.start, rows.stop), width)
-        columns = [w.tolist(), h.tolist(), values[rows.start : rows.stop].tolist()]
-        pieces.append(format_block("%d,%d,%.6f\n", columns))
-    return "".join(pieces)
+    if cells is None:
+        return "".join(heatmap_csv_blocks(grid))
+    h, w = np.divmod(np.arange(cells.start, cells.stop), grid.values.shape[0])
+    rows = format_block("%d,%d,%.6f\n", [w.tolist(), h.tolist(), grid.values[w, h].tolist()])
+    return ("w,h,value\n" if cells.start == 0 else "") + rows
+
+
+def heatmap_csv_blocks(grid: ScoreGrid):
+    """The heatmap CSV of ``grid`` a block of cells at a time, as an iterator.
+
+    Each block is ``heatmap_csv(grid, cells)`` for the next range of
+    :func:`~ropelab.csvblock.row_blocks` over the cells in scanline order.
+    """
+    return (heatmap_csv(grid, cells) for cells in row_blocks(0, grid.values.size))
 
 
 def decay_csv(curve: DecayCurve) -> str:
@@ -428,6 +452,7 @@ __all__ = [
     "decay_curve",
     "boundary_score_table",
     "heatmap_csv",
+    "heatmap_csv_blocks",
     "decay_csv",
     "boundary_csv",
 ]

@@ -12,8 +12,11 @@ signed ``-``/``+``. :func:`rotate_into` is the one kernel,
 ``out = x*cos2; out += swap(x)*sin2``, where ``swap`` exchanges each
 pair's two channels, so a caller rotating many vectors at the same angles
 (the Monte-Carlo heatmap) computes the factors once and reuses its output
-buffers. The bits equal the pair formula's: IEEE negation is exact, so
-``a*c + b*(-s)`` is ``a*c - b*s``, and addition commutes.
+buffers. The second product is formed in a scratch buffer, in one piece
+when the scratch holds the whole output (as :func:`rotation_scratch` of one
+vector does), else in halves. The bits equal the pair formula's: IEEE
+negation is exact, so ``a*c + b*(-s)`` is ``a*c - b*s``, and addition
+commutes.
 All math is double precision; every function but :func:`rotate_into`,
 which writes into the buffers it is given, is pure.
 """
@@ -205,9 +208,14 @@ def _split(shape: tuple[int, ...]) -> tuple[int, int]:
 def rotation_scratch(shape: tuple[int, ...]) -> np.ndarray:
     """A product buffer for :func:`rotate_into` into an output of ``shape``.
 
-    It also fits any output whose half, as ``rotate_into`` splits it, holds
-    no more values, such as a leading-axis slice of that output.
+    The whole of ``shape`` when no leading axis is longer than 1 (one
+    vector, or a batch of one), so the product is formed in one piece;
+    else half of it, split as ``rotate_into`` splits an output its scratch
+    does not hold. It also fits any output whose half holds no more
+    values, such as a leading-axis slice of that output.
     """
+    if all(n == 1 for n in shape[:-1]):
+        return np.empty(math.prod(shape))
     axis, half = _split(shape)
     return np.empty(math.prod(shape[:axis]) * half * math.prod(shape[axis + 1 :]))
 
@@ -233,10 +241,11 @@ def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
 
     Computes ``out = x * cos2; out += swap(x) * sin2``, where ``swap``
     exchanges the two channels of each pair. ``x``, ``cos2`` and ``sin2``
-    broadcast to ``out``'s shape. The second product is formed half of
-    ``out`` at a time, along its first axis longer than 1, in ``scratch``
-    (from :func:`rotation_scratch`, or allocated here when None). Nothing
-    is checked; :func:`rotate` is the validating entry point.
+    broadcast to ``out``'s shape. The second product is formed in
+    ``scratch`` (from :func:`rotation_scratch`, or allocated here when
+    None): in one piece when it holds all of ``out``, else half of ``out``
+    at a time, along its first axis longer than 1. Nothing is checked;
+    :func:`rotate` is the validating entry point.
     """
     # a broadcast copy, then products in place: numpy multiplies a
     # broadcast operand row by row, which costs more than copying it
@@ -244,9 +253,15 @@ def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
     out *= cos2
     # swapped before broadcasting, so the copy is x's size, not out's
     swapped = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))[..., ::-1].reshape(x.shape)
-    axis, half = _split(out.shape)
     if scratch is None:
         scratch = rotation_scratch(out.shape)
+    if scratch.size >= out.size:
+        product = scratch[: out.size].reshape(out.shape)
+        np.copyto(product, swapped)
+        product *= sin2
+        out += product
+        return out
+    axis, half = _split(out.shape)
     for rows in (slice(0, half), slice(half, out.shape[axis])):
         part = out[_index(axis, rows)]
         product = scratch[: part.size].reshape(part.shape)

@@ -3,42 +3,74 @@
 One rectangle per cell, linear grayscale between the grid's minimum and
 maximum, coordinates annotated inside each cell. Output is a pure function
 of the grid values, so identical inputs give byte-identical files.
+:func:`heatmap_svg_blocks` yields the text a block of cells at a time, so a
+writer holds one block's text, not the file's.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .csvblock import format_block, row_blocks
 from .diagnostics import ScoreGrid
 
 CELL = 48
 FONT = 10
 
+# one cell: its rectangle (x, y, gray three times, value) and its label (x, y, fill, w, h)
+_CELL_FORMAT = (
+    f'<rect x="%d" y="%d" width="{CELL}" height="{CELL}" fill="#%02x%02x%02x">'
+    "<title>%.6f</title></rect>\n"
+    '<text x="%d" y="%d" text-anchor="middle" font-family="monospace" '
+    f'font-size="{FONT}" fill="%s">%d,%d</text>\n'
+)
 
-def heatmap_svg(grid: ScoreGrid) -> str:
+# a label's fill, indexed by whether its cell's gray is at least 128
+_LABEL_FILLS = np.array(["#ffffff", "#000000"], dtype=object)
+
+
+def heatmap_svg(grid: ScoreGrid, cells: range | None = None) -> str:
+    """The SVG text of ``grid``, or the part of it that holds ``cells``.
+
+    ``cells`` is a range of cells in scanline order (``h`` outer, ``w``
+    inner). Its part holds the header when it starts at cell 0 and the
+    closing tag when it stops at the last cell, so the parts of consecutive
+    ranges join into the text; without ``cells`` the text is the join of
+    :func:`heatmap_svg_blocks`. A cell's gray is
+    ``round(255 * (value - min) / (max - min))``, half to even, or 128 when
+    every value is the same.
+    """
+    if cells is None:
+        return "".join(heatmap_svg_blocks(grid))
     values = grid.values
     width, height = values.shape
-    vmin, vmax = float(values.min()), float(values.max())
+    vmin, vmax = grid.value_range
     span = vmax - vmin
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    head = "" if cells.start else (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * CELL}" '
-        f'height="{height * CELL}" viewBox="0 0 {width * CELL} {height * CELL}">',
-    ]
-    for h in range(height):
-        for w in range(width):
-            value = float(values[w, h])
-            norm = 0.5 if span == 0.0 else (value - vmin) / span
-            gray = round(norm * 255)
-            fill = f"#{gray:02x}{gray:02x}{gray:02x}"
-            label_fill = "#000000" if gray >= 128 else "#ffffff"
-            x, y = w * CELL, h * CELL
-            lines.append(
-                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{fill}">'
-                f"<title>{value:.6f}</title></rect>"
-            )
-            lines.append(
-                f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + FONT // 2}" '
-                f'text-anchor="middle" font-family="monospace" font-size="{FONT}" '
-                f'fill="{label_fill}">{w},{h}</text>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'height="{height * CELL}" viewBox="0 0 {width * CELL} {height * CELL}">\n'
+    )
+    h, w = np.divmod(np.arange(cells.start, cells.stop), width)
+    block = values[w, h]
+    norm = np.full_like(block, 0.5) if span == 0.0 else (block - vmin) / span
+    gray = np.rint(norm * 255).astype(np.int64)
+    x, y = (w * CELL).tolist(), (h * CELL).tolist()
+    label_x = (w * CELL + CELL // 2).tolist()
+    label_y = (h * CELL + CELL // 2 + FONT // 2).tolist()
+    label_fill = _LABEL_FILLS[(gray >= 128).astype(np.intp)].tolist()
+    gray = gray.tolist()
+    columns = [x, y, gray, gray, gray, block.tolist()]
+    columns += [label_x, label_y, label_fill, w.tolist(), h.tolist()]
+    tail = "</svg>\n" if cells.stop == values.size else ""
+    return head + format_block(_CELL_FORMAT, columns) + tail
+
+
+def heatmap_svg_blocks(grid: ScoreGrid):
+    """The SVG text of ``grid`` a block of cells at a time, as an iterator.
+
+    Each block is ``heatmap_svg(grid, cells)`` for the next range of
+    :func:`~ropelab.csvblock.row_blocks` over the cells in scanline order,
+    formatted by one :func:`~ropelab.csvblock.format_block`.
+    """
+    return (heatmap_svg(grid, cells) for cells in row_blocks(0, grid.values.size))

@@ -108,6 +108,34 @@ def monte_carlo_heatmap_ref(q_angles, k_angles, seed, trials, d):
     return acc / trials
 
 
+def heatmap_svg_ref(values, cell=48, font=10):
+    """The heatmap SVG written cell by cell with f-strings, from the values' ``[w, h]`` array."""
+    width, height = values.shape
+    vmin, vmax = float(values.min()), float(values.max())
+    span = vmax - vmin
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * cell}" '
+        f'height="{height * cell}" viewBox="0 0 {width * cell} {height * cell}">',
+    ]
+    for h in range(height):
+        for w in range(width):
+            value = float(values[w, h])
+            gray = round((0.5 if span == 0.0 else (value - vmin) / span) * 255)
+            x, y = w * cell, h * cell
+            lines.append(
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'fill="#{gray:02x}{gray:02x}{gray:02x}"><title>{value:.6f}</title></rect>'
+            )
+            lines.append(
+                f'<text x="{x + cell // 2}" y="{y + cell // 2 + font // 2}" '
+                f'text-anchor="middle" font-family="monospace" font-size="{font}" '
+                f'fill="{"#000000" if gray >= 128 else "#ffffff"}">{w},{h}</text>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
 def first_line_difference(got: str, expected: str):
     """``None`` if the texts are equal, else the first differing line as
     ``(line number, got line, expected line)``, 1-based, with ``None`` past

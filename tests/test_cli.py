@@ -27,16 +27,21 @@ from ropelab import (
     heatmap,
     heatmap_csv,
     heatmap_svg,
+    heatmap_svg_blocks,
     layout_csv,
     monte_carlo_heatmap,
     parse_layout_csv,
     parse_layout_spec,
+    softmax_grid,
     VideoGrid,
     VideoSegment,
     boundary_csv,
     boundary_score_table,
 )
 from ropelab.cli import BOUNDARY_PROMPT_TOKENS, _heatmap_query, main
+from ropelab.diagnostics import ScoreGrid
+
+from oracles import heatmap_svg_ref
 
 # bench/workloads.py's large positions tier: 151,577 tokens, a 6.3 MB vrope CSV
 LARGE_LAYOUT = "text:16,video:24x24x256,text:8,video:8x8x64,text:1"
@@ -678,6 +683,40 @@ class TestSvgRendering:
         svg = heatmap_svg(grid)
         assert f"<title>{grid.values[0, 0]:.6f}</title>" in svg
         assert np.all(grid.values <= 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_blocks_match_per_cell_reference(self, rows, monkeypatch):
+        config = SchemeConfig("vrope", d=8)
+        grids = [
+            heatmap(config, VideoGrid(w, h, 1), 0, (5, 5, 5, 5)) for w, h in [(1, 1), (3, 5), (64, 33)]
+        ]
+        grids.append(softmax_grid(grids[-1]))
+        # flat, signed zeros, and grays at x.5 exactly (127.5 rounds to 128, 0.5 * 255 / 255 to 0)
+        for values in ([[0.25, 0.25], [0.25, 0.25]], [[-0.0, 0.0]], [[0.0, 255.0], [127.5, 0.5]]):
+            grids.append(ScoreGrid(np.array(values), config, (5, 5, 5, 5), 0))
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+        for grid in grids:
+            expected = heatmap_svg_ref(grid.values)
+            assert heatmap_svg(grid) == expected
+            blocks = list(heatmap_svg_blocks(grid))
+            assert "".join(blocks) == expected
+            # a block per BLOCK_ROWS cells, the first with the header, the last with the end
+            assert len(blocks) == -(-grid.values.size // rows)
+
+    def test_streamed_svg_adds_one_block_to_peak_memory(self, tmp_path):
+        # a 65,536-cell frame: 13 MB of SVG, which the whole text would add to the peak
+        svg = tmp_path / "grid.svg"
+        argv = ["heatmap", "--scheme", "rope1d", "--video", "256x256x1", "--d", "2", "--out", os.devnull]
+        peaks = []
+        for extra in ([], ["--svg", str(svg)]):
+            tracemalloc.start()
+            try:
+                assert main(argv + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert svg.stat().st_size > 12 * 2**20
+        assert peaks[1] - peaks[0] < 4 * 2**20
 
 
 class TestImport:

@@ -5,6 +5,7 @@ oracles.py before the implementation existed, then frozen here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ropelab import (
     expected_self_score,
     heatmap,
     heatmap_csv,
+    heatmap_csv_blocks,
     monte_carlo_heatmap,
     pair_positions,
     scheme_position,
@@ -479,6 +481,28 @@ class TestMonteCarloHeatmap:
             assert all(np.shares_memory(out, rotated[0][0]) for out, _ in rotated)
         assert all(s is scratch for _, s in calls)
 
+    def test_working_set_is_one_draw_and_one_block(self, monkeypatch):
+        config = SchemeConfig("vrope", d=64)
+        video = VideoGrid(8, 8, 1)
+        monte_carlo_heatmap(config, video, 0, (9,) * 4, TrialConfig(seed=1, trials=1))  # imports
+        draws, trial_normals = [], diagnostics._trial_normals
+
+        def recorded(*args):
+            draws.append(trial_normals(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(diagnostics, "_trial_normals", recorded)
+        tracemalloc.start()
+        try:
+            monte_carlo_heatmap(config, video, 0, (9,) * 4, TrialConfig(seed=1, trials=3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three 1024-trial draws, all into one buffer; a new array per draw peaks at 2.0 MiB
+        assert len(draws) == 3
+        assert all(np.shares_memory(normals, draws[0]) for normals in draws)
+        assert peak < 1.75 * 2**20
+
     def test_far_frame_matches_near_frame(self):
         # the same last frame 2e15 positions into the video: rotating by offsets
         # from the frame's cell (0, 0) keeps the angles as small as at 1000 frames
@@ -549,6 +573,9 @@ class TestCsvFormats:
         )
         monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
         assert heatmap_csv(grid) == expected
+        # a block per BLOCK_ROWS cells, the first with the header
+        blocks = list(heatmap_csv_blocks(grid))
+        assert "".join(blocks) == expected and len(blocks) == -(-15 // rows)
 
     @pytest.mark.parametrize("rows", [1, 7, 1001])
     def test_decay_csv_block_size_does_not_change_bytes(self, rows, monkeypatch):

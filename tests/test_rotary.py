@@ -186,6 +186,38 @@ class TestRotate:
             rotary.rotate_into(x[:2], cos2, sin2, out[:2], scratch), _pair_formula(x[:2], angles)
         )
 
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize(
+        "x_lead,angles_lead",
+        [((), ()), ((1,), ()), ((1, 1), (1,)), ((5,), ()), ((), (4,)), ((3, 1), (1, 4))],
+        ids=["1d", "batch_of_one", "batch_of_one_3d", "batch", "angles_batch", "broadcast"],
+    )
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_whole_product_scratch_keeps_the_bits(self, d, x_lead, angles_lead, data):
+        x = data.draw(arrays(np.float64, x_lead + (d,), elements=_EDGE_FLOATS))
+        angles = data.draw(arrays(np.float64, angles_lead + (d // 2,), elements=_EDGE_FLOATS))
+        cos2, sin2 = rotary.rotation_factors(angles)
+        shape = np.broadcast_shapes(x_lead, angles_lead) + (d,)
+        size = math.prod(shape)
+        # halves split the first axis longer than 1, the last axis where no leading axis is
+        axis = next(a for a, n in enumerate(shape) if n > 1)
+        half = size // shape[axis] * -(-shape[axis] // 2)
+        # the product in one piece, from rotation_scratch, and in halves
+        scratches = (np.empty(size), rotary.rotation_scratch(shape), np.empty(half))
+        got = [rotary.rotate_into(x, cos2, sin2, np.empty(shape), s) for s in scratches]
+        for rotated in got[1:]:
+            assert np.array_equal(rotated, got[0])
+            assert np.array_equal(np.signbit(rotated), np.signbit(got[0]))
+        assert np.array_equal(got[0], _pair_formula(x, angles))
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_scratch_of_one_vector_holds_it(self, d):
+        assert rotary.rotation_scratch((d,)).size == d
+        assert rotary.rotation_scratch((1, 1, d)).size == d
+        # a batch is still split in halves along its first axis longer than 1
+        assert rotary.rotation_scratch((1, 5, d)).size == 3 * d
+
     def test_batched_equals_per_row_calls(self):
         rng = np.random.default_rng(29)
         x = rng.standard_normal((3, 5, 16))
