@@ -1,10 +1,10 @@
 """Blocks of rows, each CSV block formatted by a single ``%`` over a repeated row template.
 
 Every row-blocked pass walks its rows through :func:`row_blocks`, at most
-``BLOCK_ROWS`` rows at a time, and every CSV writer formats a block through
-:func:`format_block`: the block's columns are interleaved row-major into one
-flat list and ``row_format * n`` is filled in one C-level ``%`` call. The
-result equals ``"".join(row_format % row for row in zip(*columns))``, since
+``BLOCK_ROWS`` rows at a time, and every CSV writer (and the heatmap SVG
+writer) formats a block through :func:`format_block`: the block's columns
+are interleaved row-major into one flat list and ``row_format * n`` is
+filled in one C-level ``%`` call. The result equals ``"".join(row_format % row for row in zip(*columns))``, since
 ``%`` formats each field on its own whatever text surrounds it. A writer
 that builds its own block text (the layout CSV's frame template) fills it
 through :func:`fill_rows`.

@@ -396,7 +396,7 @@ def boundary_score_table(layout: TokenLayout) -> tuple[BoundaryScore, ...]:
 
 
 def heatmap_csv(grid: ScoreGrid, cells: range | None = None) -> str:
-    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values, or the part for ``cells``.
+    """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values, or ``cells``' part.
 
     ``cells`` is a range of cells in scanline order (``h`` outer, ``w``
     inner), formatted by one :func:`~ropelab.csvblock.format_block`; its part
