@@ -164,9 +164,7 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_decay(args) -> int:
     schedule = build_frequency_schedule(args.base, args.d)
-    text = decay_csv(decay_curve(schedule, args.max_delta))
-    with _output(args.out) as output:
-        _write(output, text)
+    _write_blocks(args.out, [decay_csv(decay_curve(schedule, args.max_delta))])
     return EXIT_OK
 
 
@@ -180,9 +178,7 @@ def _cmd_boundary(args) -> int:
             config,
         )
         rows.extend(boundary_score_table(layout))
-    text = boundary_csv(rows)
-    with _output(args.out) as output:
-        _write(output, text)
+    _write_blocks(args.out, [boundary_csv(rows)])
     return EXIT_OK
 
 

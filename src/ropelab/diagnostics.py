@@ -11,17 +11,18 @@ the seed and trial count in its :class:`TrialConfig`; trial ``r`` draws
 ``standard_normal(d)`` from numpy's PCG64 seeded by
 ``SeedSequence([seed, r])``, so each trial's vector does not depend on
 evaluation order or parallelism. The ``SeedSequence`` hash runs in bulk,
-for a draw of trials at once (:func:`_trial_normals`), and numpy seeds each
-trial's PCG64 from its hashed words, so the vectors are exactly those of
-``default_rng(SeedSequence([seed, r]))``; a test holds it to numpy's own
-seeding. The trial loop has two levels. A draw holds the normals of a
-whole number of key blocks, at most ``rotary.BLOCK_ELEMENTS`` = 2**16 values
-(1024 trials at d=64), because each draw has a fixed cost whatever its
-size. A key block of those trials is rotated and summed, with at most
+for a draw of trials at once (:func:`_trial_words`), and numpy seeds each
+trial's PCG64 from its hashed words (:func:`_trial_normals`), so the
+vectors are exactly those of ``default_rng(SeedSequence([seed, r]))``; a
+test holds it to numpy's own seeding. The trial loop has two levels. A
+draw hashes the words of a whole number of key blocks, at most
+``rotary.BLOCK_ELEMENTS`` = 2**16 normals' worth (1024 trials at d=64),
+because each hash has a fixed cost whatever its size. A key block of
+those trials is drawn, rotated and summed, with at most
 ``BLOCK_ELEMENTS`` rotated keys (one trial's, where those are more).
 The query's and the frame's rotation factors are computed once per call,
-every draw is written into one normals buffer and every block is rotated
-into the same output and scratch buffers, all allocated once per call;
+and every block is drawn into one normals buffer and rotated into the
+same output and scratch buffers, all allocated once per call;
 the bits are those of :func:`~ropelab.rotary.rotate`.
 The output is fixed for a given version, seed and trial count; a version that
 changes the key blocks or the summation order may differ in the last
@@ -47,7 +48,6 @@ from .rotary import (
     expected_self_score,
     rotate_into,
     rotation_factors,
-    rotation_scratch,
 )
 from .schemes import (
     PositionVector,
@@ -129,7 +129,7 @@ class TrialConfig(Frozen):
         seed, trials = int(seed), int(trials)
         if not 0 <= seed < 2**64:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
-        # trial indices r < trials must fit the 64 unsigned bits _trial_normals hashes
+        # trial indices r < trials must fit the 64 unsigned bits _trial_words hashes
         if not 1 <= trials <= 2**64:
             raise ParameterError(f"trials must be in [1, 2**64], got {trials}")
         self.__dict__.update(seed=seed, trials=trials)
@@ -147,16 +147,26 @@ class BoundaryScore(Frozen):
         self.__dict__.update(scheme_id=scheme_id, target=target, mean_score=mean_score)
 
 
-def _frame_pair_positions(
-    config: SchemeConfig, grid: VideoGrid, frame: int
-) -> np.ndarray:
-    """Per-pair positions of every cell of one frame, shape (W, H, pairs)."""
+def _check_frame(config: SchemeConfig, grid: VideoGrid, frame: int) -> None:
+    """Raise CoordinateError for a frame outside ``grid``, ParameterError for one over the budget."""
     if not isinstance(frame, numbers.Integral):
         raise CoordinateError(f"frame index must be an integer, got {frame!r}")
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
     check_array_budget(grid.tokens_per_frame * config.pairs, f"a {grid.width}x{grid.height} frame")
-    w = np.arange(grid.width)[:, None]
+
+
+def _frame_pair_positions(
+    config: SchemeConfig, grid: VideoGrid, frame: int, columns: range | None = None
+) -> np.ndarray:
+    """Per-pair positions of the cells of one frame, shape (W, H, pairs), or of its ``columns``.
+
+    ``columns`` is a range of ``w`` (the whole frame when None), and the
+    result then has shape ``(len(columns), H, pairs)``. The frame is not
+    checked here; :func:`_check_frame` does that.
+    """
+    columns = range(grid.width) if columns is None else columns
+    w = np.arange(columns.start, columns.stop)[:, None]
     h = np.arange(grid.height)[None, :]
     cells = video_positions(config, w, h, frame, grid, 0)
     return cells[:, :, group_allocation(config)]
@@ -166,11 +176,21 @@ def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVe
     """Closed-form expected self-score from ``query`` to every cell of ``frame``.
 
     Cell positions are taken with the video starting at position 0; pass an
-    absolute query vector (scores depend only on the differences).
+    absolute query vector (scores depend only on the differences). The
+    frame is scored ``block_rows(H*d/2)`` columns at a time, so besides the
+    ``W*H`` values only one block's positions and angles, about
+    ``rotary.BLOCK_ELEMENTS`` values each, are held at once; each cell's
+    score does not depend on the block.
     """
     q = pair_positions(query, config)
-    cells = _frame_pair_positions(config, grid, frame)
-    values = expected_self_score(q - cells, config.schedule())
+    _check_frame(config, grid, frame)
+    schedule = config.schedule()
+    values = np.empty((grid.width, grid.height), dtype=np.float64)
+    step = block_rows(grid.height * config.pairs)
+    for start in range(0, grid.width, step):
+        columns = range(start, min(start + step, grid.width))
+        cells = _frame_pair_positions(config, grid, frame, columns)
+        values[start : columns.stop] = expected_self_score(q - cells, schedule)
     return ScoreGrid(values=values, scheme=config, query=tuple(query), frame=frame)
 
 
@@ -191,21 +211,18 @@ def monte_carlo_heatmap(
     rotation is :func:`~ropelab.rotary.rotate`'s kernel,
     :func:`~ropelab.rotary.rotate_into`, with the query's and the frame's
     factors computed once per call, so every value is bit for bit what
-    ``rotate`` gives. Trials are rotated and summed in key blocks of
-    ``chunk = block_rows(W*H*d)`` trials, and their normals are drawn
+    ``rotate`` gives. Trials are drawn, rotated and summed in key blocks of
+    ``chunk = block_rows(W*H*d)`` trials, and their seed words are hashed
     ``chunk * block_rows(chunk*d)`` trials at a time, a whole number of
     blocks (:func:`~ropelab.rotary.block_rows`). With
     ``rotary.BLOCK_ELEMENTS`` = 2**16, an
     8x8 frame at ``d=64`` has 16-trial blocks and 1024-trial draws, so 10k
-    trials take 10 draws; neither a draw nor a block's rotated keys holds
-    more than 2**16 values (512 KiB), or one trial's keys where those are
-    more. Every draw's normals go into one buffer of a draw, every block's
-    rotated keys into one buffer of a block, and the rotation's second
-    product into a scratch of half a block (split as
-    :func:`~ropelab.rotary.rotate_into` splits it; a query block it holds
-    whole is formed in one piece), all allocated once per call. Memory
-    stays bounded by the draw and the block, not by the trial count, and
-    the sums are those of the blocks alone.
+    trials take 10 draws; a block's rotated keys hold no more than 2**16
+    values (512 KiB), or one trial's keys where those are more. Every
+    block's normals go into one buffer of a block, its rotated keys into
+    another, and the rotation's second product into a scratch of a block,
+    all allocated once per call. Memory stays bounded by the block, not by
+    the trial count, and the sums are those of the blocks alone.
 
     Raises:
         ParameterError: if one trial's rotated keys (``W*H*d`` values)
@@ -213,6 +230,7 @@ def monte_carlo_heatmap(
     """
     schedule = config.schedule()
     d = config.d
+    _check_frame(config, grid, frame)
     keys = _frame_pair_positions(config, grid, frame)
     # rotate by offsets from the frame's cell (0, 0), subtracted while the
     # positions are still exact integers: scores depend only on differences,
@@ -224,24 +242,24 @@ def monte_carlo_heatmap(
     # one trial's rotated keys, and each of the frame's two factor arrays, hold W*H*d values
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
     chunk = block_rows(cells * d)
-    # a draw is a whole number of key blocks; each _trial_normals call has a fixed cost
+    # a draw is a whole number of key blocks; each _trial_words call has a fixed cost
     draw = chunk * block_rows(chunk * d)
     # the query's and the frame's pair factors, once per call
     q_cos, q_sin = rotation_factors(q_angles)
     k_cos, k_sin = rotation_factors(k_angles)
-    # every block is rotated into these, allocated once per call
+    # every block is drawn and rotated into these, allocated once per call
+    normals = np.empty((chunk, d), dtype=np.float64)
     rq_block = np.empty((chunk, d), dtype=np.float64)
     rk_block = np.empty((chunk, grid.width, grid.height, d), dtype=np.float64)
-    scratch = rotation_scratch(rk_block.shape)
+    scratch = np.empty(rk_block.size)
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
-    # every draw's normals go into this, so no draw sits beside the one before
-    normals_buffer = np.empty((min(draw, trials), d), dtype=np.float64)
     for first in range(0, trials, draw):
-        normals = _trial_normals(seed, first, min(first + draw, trials), d, normals_buffer)
-        for start in range(0, len(normals), chunk):
-            x = normals[start : start + chunk]
-            n = len(x)
+        words = _trial_words(seed, first, min(first + draw, trials))
+        for start in range(0, len(words), chunk):
+            block = words[start : start + chunk]
+            n = len(block)
+            x = _trial_normals(block, normals[:n])
             rq = rotate_into(x, q_cos, q_sin, rq_block[:n], scratch)
             rk = rotate_into(x[:, None, None, :], k_cos, k_sin, rk_block[:n], scratch)
             acc += np.einsum("nwhd,nd->wh", rk, rq) / d
@@ -265,22 +283,17 @@ def _given_state() -> type:
     return GivenState
 
 
-def _trial_normals(seed: int, start: int, stop: int, d: int, out=None) -> np.ndarray:
-    """Row ``r - start`` is ``default_rng(SeedSequence([seed, r])).standard_normal(d)``.
+def _trial_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row ``r - start`` is ``SeedSequence([seed, r]).generate_state(4, np.uint64)``.
 
     For every trial ``r`` in ``[start, stop)`` at once, this computes
     numpy's ``SeedSequence`` pool from the entropy words ``[seed, r]`` and
     its ``generate_state(4, uint64)`` in vectorized uint32 arithmetic, one
-    row of four words per trial. numpy then seeds each trial's ``PCG64``
-    from its row and draws into its row of the output. ``seed`` and ``r``
-    are below 2**64, so the words never outnumber the pool. numpy hashes a
-    pool word the input lacks as a zero word, so ``r``'s high word can be
-    passed for every trial: a trial below 2**32, one word in numpy's
+    row of four words per trial, for :func:`_trial_normals`. ``seed`` and
+    ``r`` are below 2**64, so the words never outnumber the pool. numpy
+    hashes a pool word the input lacks as a zero word, so ``r``'s high word
+    can be passed for every trial: a trial below 2**32, one word in numpy's
     entropy, gets the same pool.
-
-    The rows are drawn into the first ``stop - start`` rows of ``out`` (a
-    float64 array of ``d`` columns, allocated here when None), and those
-    rows are returned.
     """
     trials = np.arange(start, stop, dtype=np.uint64)
     n = len(trials)
@@ -313,10 +326,19 @@ def _trial_normals(seed: int, start: int, stop: int, d: int, out=None) -> np.nda
         value = value * hash_const
         state_words.append((value ^ (value >> 16)).astype(np.uint64))
     # generate_state(4, uint64) pairs the words little-endian: seed high, low, inc high, low
-    generated = np.stack(state_words[0::2], axis=1) | np.stack(state_words[1::2], axis=1) << 32
+    return np.stack(state_words[0::2], axis=1) | np.stack(state_words[1::2], axis=1) << 32
+
+
+def _trial_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Draw row ``i`` of ``out`` from a ``PCG64`` seeded by row ``i`` of ``words``, and return ``out``.
+
+    ``words`` is a block of :func:`_trial_words` rows and ``out`` a float64
+    array of as many rows, so row ``i`` is that trial's
+    ``default_rng(SeedSequence([seed, r])).standard_normal(d)``, ``d``
+    being ``out``'s row length.
+    """
     given_state = _given_state()
-    out = np.empty((n, d), dtype=np.float64) if out is None else out[:n]
-    for row, trial_words in zip(out, generated):
+    for row, trial_words in zip(out, words):
         np.random.Generator(np.random.PCG64(given_state(trial_words))).standard_normal(out=row)
     return out
 

@@ -12,11 +12,9 @@ signed ``-``/``+``. :func:`rotate_into` is the one kernel,
 ``out = x*cos2; out += swap(x)*sin2``, where ``swap`` exchanges each
 pair's two channels, so a caller rotating many vectors at the same angles
 (the Monte-Carlo heatmap) computes the factors once and reuses its output
-buffers. The second product is formed in a scratch buffer, in one piece
-when the scratch holds the whole output (as :func:`rotation_scratch` of one
-vector does), else in halves. The bits equal the pair formula's: IEEE
-negation is exact, so ``a*c + b*(-s)`` is ``a*c - b*s``, and addition
-commutes.
+buffers. The second product is formed in one piece, in a scratch buffer
+of the output's size. The bits equal the pair formula's: IEEE negation is
+exact, so ``a*c + b*(-s)`` is ``a*c - b*s``, and addition commutes.
 All math is double precision; every function but :func:`rotate_into`,
 which writes into the buffers it is given, is pure.
 """
@@ -141,8 +139,8 @@ def rotate(x, angles) -> np.ndarray:
     with the :func:`rotation_factors` of ``angles``, a block of the result's
     first leading axis longer than 1 at a time: each block holds about
     ``BLOCK_ELEMENTS`` values (one row where a row holds more), and its
-    factors and the one :func:`rotation_scratch` are a block's size. Every
-    value is bit for bit the pair formula's, signed zeros
+    factors and the one scratch, shared by every block, are a block's size.
+    Every value is bit for bit the pair formula's, signed zeros
     included: the kernel's ``a*cos + b*(-sin)`` is ``a*cos - b*sin`` in IEEE
     arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
     no value, since every operation is elementwise.
@@ -176,7 +174,7 @@ def rotate(x, angles) -> np.ndarray:
     if axis is None:  # one vector, or a batch of one
         return rotate_into(x, *rotation_factors(angles), out)
     step = block_rows(math.prod(out.shape[axis + 1 :]))
-    scratch = rotation_scratch(out[_index(axis, slice(0, step))].shape)
+    scratch = np.empty(out[_index(axis, slice(0, step))].size)
     for start in range(0, lead[axis], step):
         rows = slice(start, start + step)
         factors = rotation_factors(_part(angles, out.ndim, axis, rows))
@@ -197,27 +195,6 @@ def rotation_factors(angles) -> tuple[np.ndarray, np.ndarray]:
     np.negative(sin, out=sin2[..., 0::2])
     sin2[..., 1::2] = sin
     return cos2, sin2
-
-
-def _split(shape: tuple[int, ...]) -> tuple[int, int]:
-    """The first axis of ``shape`` longer than 1 (else the last), and its first half's length."""
-    axis = next((a for a, n in enumerate(shape) if n > 1), len(shape) - 1)
-    return axis, -(-shape[axis] // 2)
-
-
-def rotation_scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """A product buffer for :func:`rotate_into` into an output of ``shape``.
-
-    The whole of ``shape`` when no leading axis is longer than 1 (one
-    vector, or a batch of one), so the product is formed in one piece;
-    else half of it, split as ``rotate_into`` splits an output its scratch
-    does not hold. It also fits any output whose half holds no more
-    values, such as a leading-axis slice of that output.
-    """
-    if all(n == 1 for n in shape[:-1]):
-        return np.empty(math.prod(shape))
-    axis, half = _split(shape)
-    return np.empty(math.prod(shape[:axis]) * half * math.prod(shape[axis + 1 :]))
 
 
 def _index(axis: int, rows: slice) -> tuple[slice, ...]:
@@ -241,11 +218,11 @@ def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
 
     Computes ``out = x * cos2; out += swap(x) * sin2``, where ``swap``
     exchanges the two channels of each pair. ``x``, ``cos2`` and ``sin2``
-    broadcast to ``out``'s shape. The second product is formed in
-    ``scratch`` (from :func:`rotation_scratch`, or allocated here when
-    None): in one piece when it holds all of ``out``, else half of ``out``
-    at a time, along its first axis longer than 1. Nothing is checked;
-    :func:`rotate` is the validating entry point.
+    broadcast to ``out``'s shape. The second product is formed in one
+    piece in the first ``out.size`` values of ``scratch`` (a flat float64
+    buffer, allocated here when None), so one scratch serves every output
+    that it holds. Nothing is checked; :func:`rotate` is the validating
+    entry point.
     """
     # a broadcast copy, then products in place: numpy multiplies a
     # broadcast operand row by row, which costs more than copying it
@@ -254,20 +231,11 @@ def rotate_into(x, cos2, sin2, out, scratch=None) -> np.ndarray:
     # swapped before broadcasting, so the copy is x's size, not out's
     swapped = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))[..., ::-1].reshape(x.shape)
     if scratch is None:
-        scratch = rotation_scratch(out.shape)
-    if scratch.size >= out.size:
-        product = scratch[: out.size].reshape(out.shape)
-        np.copyto(product, swapped)
-        product *= sin2
-        out += product
-        return out
-    axis, half = _split(out.shape)
-    for rows in (slice(0, half), slice(half, out.shape[axis])):
-        part = out[_index(axis, rows)]
-        product = scratch[: part.size].reshape(part.shape)
-        np.copyto(product, _part(swapped, out.ndim, axis, rows))
-        product *= _part(sin2, out.ndim, axis, rows)
-        part += product
+        scratch = np.empty(out.size)
+    product = scratch[: out.size].reshape(out.shape)
+    np.copyto(product, swapped)
+    product *= sin2
+    out += product
     return out
 
 

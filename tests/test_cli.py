@@ -235,22 +235,29 @@ class TestPositions:
 
     @pytest.mark.parametrize("read", [0, 100])
     def test_closed_stdout_pipe_exits_3(self, read):
-        # buffered stdout, as it is unless PYTHONUNBUFFERED is set
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(ropelab.__file__).parents[1])
         # 1.3 MB of CSV, far more than a pipe holds, so the CLI is still writing
-        args = ["positions", "--scheme", "vrope", "--layout", "text:2,video:64x64x8,text:1"]
-        with subprocess.Popen(
-            [sys.executable, "-m", "ropelab.cli", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        ) as proc:
-            assert len(proc.stdout.read(read)) == read
-            proc.stdout.close()
-            stderr = proc.stderr.read().decode()
-            assert proc.wait(timeout=60) == 3
-        lines = stderr.splitlines()
-        assert [line for line in lines if line.startswith("error:")] == lines
-        assert len(lines) == 1 and "Exception ignored" not in stderr
+        _assert_closed_stdout_pipe_exits_3(
+            ["positions", "--scheme", "vrope", "--layout", "text:2,video:64x64x8,text:1"], read
+        )
+
+
+def _assert_closed_stdout_pipe_exits_3(args, read):
+    """The CLI run with ``args`` exits 3, with one ``error:`` line, when its reader
+    takes ``read`` bytes of stdout and closes the pipe."""
+    # buffered stdout, as it is unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ropelab.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "ropelab.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 3
+    lines = stderr.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines
+    assert len(lines) == 1 and "Exception ignored" not in stderr
 
 
 class TestDecay:
@@ -270,6 +277,11 @@ class TestDecay:
         rc = main(["decay", "--d", "2", "--base", base, "--max-delta", "3"])
         assert rc == 0
         assert capsys.readouterr().out == DECAY_GOLDEN
+
+    @pytest.mark.parametrize("read", [0, 100])
+    def test_closed_stdout_pipe_exits_3(self, read):
+        # about 3 MB of CSV, written whole through the same output as positions' blocks
+        _assert_closed_stdout_pipe_exits_3(["decay", "--d", "64", "--max-delta", "200000"], read)
 
 
 class TestHeatmap:

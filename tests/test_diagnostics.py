@@ -130,6 +130,32 @@ class TestHeatmap:
         far = heatmap(config, long_video, 2**64, query)
         assert np.array_equal(far.values, heatmap(config, short_video, 0, query).values)
 
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    @pytest.mark.parametrize("elements", [1, 4 * 5 * 12, rotary.BLOCK_ELEMENTS])
+    def test_blocked_equals_whole_frame(self, scheme, elements, monkeypatch):
+        # blocks of one column, of 4 of the 9 columns (5 cells of 12 pairs each), of all 9
+        config = SchemeConfig(scheme, d=24)
+        video = VideoGrid(9, 5, 3)
+        query = (17,) * config.group_count
+        cells = diagnostics._frame_pair_positions(config, video, 2)
+        expected = expected_self_score(pair_positions(query, config) - cells, config.schedule())
+        monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
+        assert np.array_equal(heatmap(config, video, 2, query).values, expected)
+
+    def test_peak_memory_is_the_values_and_one_block(self):
+        config = SchemeConfig("vrope", d=64)
+        video = VideoGrid(256, 256, 1)
+        heatmap(config, VideoGrid(2, 2, 1), 0, (9,) * 4)  # imports and caches
+        tracemalloc.start()
+        try:
+            grid = heatmap(config, video, 0, (300,) * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.nbytes == 2**19
+        # whole (W, H, d/2) positions, offsets and angles take the peak to about 50 MB
+        assert peak < 8 * 2**20
+
     def test_frame_over_array_budget(self):
         config = SchemeConfig("vrope", d=8)
         with pytest.raises(ParameterError, match="budget"):
@@ -426,35 +452,42 @@ class TestMonteCarloHeatmap:
         if elements is not None:
             monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
         limit = max(rotary.BLOCK_ELEMENTS, width * width * d)
-        sizes = {"rotate": [], "draw": []}
+        shapes = {"rotate": [], "words": [], "normals": []}
 
         def recorded(name, func):
             def wrapper(*args):
                 out = func(*args)
-                sizes[name].append(out.size)
+                shapes[name].append(out.shape)
                 return out
 
             return wrapper
 
         # the loop rotates through rotary.rotate's kernel, not through rotate itself
         monkeypatch.setattr(diagnostics, "rotate_into", recorded("rotate", rotary.rotate_into))
-        monkeypatch.setattr(
-            diagnostics, "_trial_normals", recorded("draw", diagnostics._trial_normals)
-        )
+        for name in ("words", "normals"):
+            func = getattr(diagnostics, f"_trial_{name}")
+            monkeypatch.setattr(diagnostics, f"_trial_{name}", recorded(name, func))
         chunk, draw = _mc_blocks(width * width, d)
         trials = 2 * draw + chunk + 5
         config = SchemeConfig("rope1d", d=d)
         monte_carlo_heatmap(
             config, VideoGrid(width, width, 1), 0, (3,), TrialConfig(seed=1, trials=trials)
         )
-        assert max(sizes["rotate"]) <= limit and max(sizes["draw"]) <= limit
-        # one _trial_normals call per draw; every trial drawn once, its query and keys rotated once
-        assert len(sizes["draw"]) == -(-trials // draw) and sum(sizes["draw"]) == trials * d
+        sizes = {name: [math.prod(shape) for shape in shapes[name]] for name in shapes}
+        assert max(sizes["rotate"]) <= limit and max(sizes["normals"]) <= limit
+        # one _trial_words call per draw; every trial hashed once
+        rows = [shape[0] for shape in shapes["words"]]
+        assert rows == [min(draw, trials - first) for first in range(0, trials, draw)]
+        # one _trial_normals call per block of at most chunk trials, in every draw
+        blocks = [min(chunk, n - start) for n in rows for start in range(0, n, chunk)]
+        assert shapes["normals"] == [(n, d) for n in blocks]
+        # every trial drawn once, its query and keys rotated once
+        assert sum(sizes["normals"]) == trials * d
         assert sum(sizes["rotate"]) == trials * d * (1 + width * width)
 
     # 16-trial blocks; 1024-value blocks of 16 trials at 2x2, d=16; one-trial blocks of 8x8 cells
     @pytest.mark.parametrize("elements,width,d", [(None, 8, 64), (2**10, 2, 16), (2**10, 8, 64)])
-    def test_blocks_reuse_one_output_and_half_block_scratch(self, elements, width, d, monkeypatch):
+    def test_blocks_reuse_one_output_and_one_block_scratch(self, elements, width, d, monkeypatch):
         if elements is not None:
             monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
         calls = []
@@ -474,9 +507,8 @@ class TestMonteCarloHeatmap:
         queries, keys = calls[0::2], calls[1::2]
         assert len(queries) == len(keys) == draw // chunk + -(-(chunk + 5) // chunk)
         assert all(out.shape[1:] == (width, width, d) for out, _ in keys)
-        block = chunk * width * width * d
         scratch = keys[0][1]
-        assert 2 * scratch.size <= block
+        assert scratch.size == chunk * width * width * d
         for rotated in (queries, keys):
             assert all(np.shares_memory(out, rotated[0][0]) for out, _ in rotated)
         assert all(s is scratch for _, s in calls)
@@ -485,11 +517,11 @@ class TestMonteCarloHeatmap:
         config = SchemeConfig("vrope", d=64)
         video = VideoGrid(8, 8, 1)
         monte_carlo_heatmap(config, video, 0, (9,) * 4, TrialConfig(seed=1, trials=1))  # imports
-        draws, trial_normals = [], diagnostics._trial_normals
+        blocks, trial_normals = [], diagnostics._trial_normals
 
         def recorded(*args):
-            draws.append(trial_normals(*args))
-            return draws[-1]
+            blocks.append(trial_normals(*args))
+            return blocks[-1]
 
         monkeypatch.setattr(diagnostics, "_trial_normals", recorded)
         tracemalloc.start()
@@ -498,10 +530,11 @@ class TestMonteCarloHeatmap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three 1024-trial draws, all into one buffer; a new array per draw peaks at 2.0 MiB
-        assert len(draws) == 3
-        assert all(np.shares_memory(normals, draws[0]) for normals in draws)
-        assert peak < 1.75 * 2**20
+        # 188 blocks of 16 trials, all drawn into one buffer; a buffer of a
+        # whole 1024-trial draw peaks at 1.56 MiB, a new array per draw at 2.0 MiB
+        assert len(blocks) == -(-3000 // 16)
+        assert all(np.shares_memory(normals, blocks[0]) for normals in blocks)
+        assert peak < 1.45 * 2**20
 
     def test_far_frame_matches_near_frame(self):
         # the same last frame 2e15 positions into the video: rotating by offsets
@@ -538,7 +571,8 @@ class TestTrialNormals:
                 np.random.default_rng(np.random.SeedSequence([seed, r])).standard_normal(d)
                 for r in range(start, stop)
             ])
-            normals = diagnostics._trial_normals(seed, start, stop, d)
+            words = diagnostics._trial_words(seed, start, stop)
+            normals = diagnostics._trial_normals(words, np.empty((stop - start, d)))
             assert np.array_equal(normals, expected)
 
 
