@@ -33,13 +33,12 @@ does not change the sums.
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
 
 from ._frozen import Frozen
 from .csvblock import format_block, row_blocks
-from .errors import CoordinateError, ParameterError
+from .errors import CoordinateError, ParameterError, check_integer
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
@@ -70,13 +69,18 @@ _POOL_WORDS = 4
 class ScoreGrid(Frozen):
     """Expected scores from one query to every cell of one frame; ``values[w, h]``.
 
-    Two grids are equal when their values are, element by element, and
-    their scheme, query and frame are.
+    ``values`` is a 2-D float64 array of at least one cell, every value
+    finite, else ParameterError. Two grids are equal when their values are,
+    element by element, and their scheme, query and frame are.
     """
 
     __match_args__ = ("values", "scheme", "query", "frame")
 
     def __init__(self, values: np.ndarray, scheme: SchemeConfig, query: PositionVector, frame: int):
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 2):
+            raise ParameterError(f"score grid values must be a 2-D float64 array, got {values!r}")
+        if not (values.size and np.isfinite(values).all()):
+            raise ParameterError(f"score grid values must be finite, at least one cell, got {values!r}")
         self.__dict__.update(values=values, scheme=scheme, query=query, frame=frame)
 
     @functools.cached_property
@@ -123,10 +127,7 @@ class TrialConfig(Frozen):
     __match_args__ = ("seed", "trials")
 
     def __init__(self, seed: int, trials: int):
-        for name, value in (("seed", seed), ("trials", trials)):
-            if not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        seed, trials = int(seed), int(trials)
+        seed, trials = check_integer(seed, "seed"), check_integer(trials, "trials")
         if not 0 <= seed < 2**64:
             raise ParameterError(f"seed must fit in 64 unsigned bits, got {seed}")
         # trial indices r < trials must fit the 64 unsigned bits _trial_words hashes
@@ -147,13 +148,13 @@ class BoundaryScore(Frozen):
         self.__dict__.update(scheme_id=scheme_id, target=target, mean_score=mean_score)
 
 
-def _check_frame(config: SchemeConfig, grid: VideoGrid, frame: int) -> None:
-    """Raise CoordinateError for a frame outside ``grid``, ParameterError for one over the budget."""
-    if not isinstance(frame, numbers.Integral):
-        raise CoordinateError(f"frame index must be an integer, got {frame!r}")
+def _check_frame(config: SchemeConfig, grid: VideoGrid, frame: int) -> int:
+    """``frame`` as an int; CoordinateError unless an integer inside ``grid``, ParameterError over the budget."""
+    frame = check_integer(frame, "frame index", CoordinateError)
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
     check_array_budget(grid.tokens_per_frame * config.pairs, f"a {grid.width}x{grid.height} frame")
+    return frame
 
 
 def _frame_pair_positions(
@@ -183,7 +184,7 @@ def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVe
     score does not depend on the block.
     """
     q = pair_positions(query, config)
-    _check_frame(config, grid, frame)
+    frame = _check_frame(config, grid, frame)
     schedule = config.schedule()
     values = np.empty((grid.width, grid.height), dtype=np.float64)
     step = block_rows(grid.height * config.pairs)
@@ -230,7 +231,7 @@ def monte_carlo_heatmap(
     """
     schedule = config.schedule()
     d = config.d
-    _check_frame(config, grid, frame)
+    frame = _check_frame(config, grid, frame)
     keys = _frame_pair_positions(config, grid, frame)
     # rotate by offsets from the frame's cell (0, 0), subtracted while the
     # positions are still exact integers: scores depend only on differences,
@@ -353,11 +354,7 @@ def softmax_grid(grid: ScoreGrid) -> ScoreGrid:
 
 def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     """Expected self-score at uniform per-pair offsets 0..``max_delta``."""
-    if not isinstance(max_delta, numbers.Integral):
-        raise ParameterError(f"max_delta must be an integer, got {max_delta!r}")
-    max_delta = int(max_delta)
-    if max_delta < 1:
-        raise ParameterError(f"max_delta must be >= 1, got {max_delta}")
+    max_delta = check_integer(max_delta, "max_delta", low=1)
     check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")
     values = np.empty(max_delta + 1, dtype=np.float64)
     # a block of offsets at a time; each row's score does not depend on the block
@@ -417,19 +414,32 @@ def boundary_score_table(layout: TokenLayout) -> tuple[BoundaryScore, ...]:
     return tuple(rows)
 
 
+def _scanline(grid: ScoreGrid, cells: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns ``w``, rows ``h`` and values of the scanline cells ``cells`` (``h`` outer, ``w`` inner).
+
+    Raises CoordinateError unless ``cells`` is a step-1 range inside ``[0, W*H]``.
+    """
+    size = grid.values.size
+    if not (isinstance(cells, range) and cells.step == 1 and 0 <= cells.start <= cells.stop <= size):
+        raise CoordinateError(f"cells must be a step-1 range inside [0, {size}], got {cells!r}")
+    h, w = np.divmod(np.arange(cells.start, cells.stop), grid.values.shape[0])
+    return w, h, grid.values[w, h]
+
+
 def heatmap_csv(grid: ScoreGrid, cells: range | None = None) -> str:
     """Heatmap as ``w,h,value`` CSV rows in scanline order, 6-decimal values, or ``cells``' part.
 
-    ``cells`` is a range of cells in scanline order (``h`` outer, ``w``
-    inner), formatted by one :func:`~ropelab.csvblock.format_block`; its part
+    ``cells`` is a step-1 range of cells inside ``[0, W*H]`` in scanline order
+    (``h`` outer, ``w`` inner), formatted by one
+    :func:`~ropelab.csvblock.format_block`, else CoordinateError; its part
     holds the header when it starts at cell 0, so the parts of consecutive
     ranges join into the CSV. Without ``cells`` the CSV is the join of
     :func:`heatmap_csv_blocks`.
     """
     if cells is None:
         return "".join(heatmap_csv_blocks(grid))
-    h, w = np.divmod(np.arange(cells.start, cells.stop), grid.values.shape[0])
-    rows = format_block("%d,%d,%.6f\n", [w.tolist(), h.tolist(), grid.values[w, h].tolist()])
+    w, h, values = _scanline(grid, cells)
+    rows = format_block("%d,%d,%.6f\n", [w.tolist(), h.tolist(), values.tolist()])
     return ("w,h,value\n" if cells.start == 0 else "") + rows
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for integer inputs."""
+
+import numbers
 
 
 class RopelabError(Exception):
@@ -31,3 +33,13 @@ class LayoutParseError(RopelabError, ValueError):
     def __init__(self, message: str, span: tuple[int, int] | None = None):
         super().__init__(message)
         self.span = span
+
+
+def check_integer(value, what: str, error: type[RopelabError] = ParameterError, low: int | None = None) -> int:
+    """``value`` as a Python int; ``error`` unless a non-bool ``Integral`` (numpy's pass), >= ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value

@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import numbers
 import re
 from collections.abc import Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .csvblock import fill_rows, format_block, row_blocks
-from .errors import LayoutParseError, ParameterError
+from .errors import LayoutParseError, ParameterError, check_integer
 from .rotary import check_array_budget
 from .schemes import (
     MAX_POSITION,
@@ -49,11 +48,7 @@ class TextSegment(Frozen):
     __match_args__ = ("count",)
 
     def __init__(self, count: int):
-        if not isinstance(count, numbers.Integral):
-            raise ParameterError(f"text segment count must be an integer, got {count!r}")
-        if count < 1:
-            raise ParameterError(f"text segment needs count >= 1, got {count}")
-        self.__dict__.update(count=int(count))
+        self.__dict__.update(count=check_integer(count, "text segment count", low=1))
 
     @property
     def token_count(self) -> int:

@@ -27,7 +27,7 @@ import numbers
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_integer
 
 # Most elements one array may hold when user input sets its size: 2**26
 # float64 values are 512 MiB. Larger requests raise ParameterError before
@@ -74,23 +74,22 @@ def block_rows(row_elements: int) -> int:
     return max(1, BLOCK_ELEMENTS // row_elements)
 
 
-def check_head_params(d: int, base: float) -> None:
-    """Validate a head dimension and frequency base.
+def check_head_params(d: int, base: float) -> int:
+    """Validate a head dimension and frequency base; return ``d`` as a Python int.
 
     Raises:
         DimensionError: if ``d`` is not an integer, is odd or is smaller than 2.
-        ParameterError: if ``base`` is not a real number, not finite or not
+        ParameterError: if ``base`` is a bool or not a real number, not finite or not
             strictly positive, if the largest frequency ``base ** (-(d-2)/d)``
             times ``2**54`` is not finite (a tiny base), or if ``d/2`` exceeds
             the array budget. Positions lie within 2**53 either side of 0, so every
             angle ``delta * theta`` of an admitted base is finite.
     """
-    if not isinstance(d, numbers.Integral):
-        raise DimensionError(f"head dimension must be an integer, got {d!r}")
+    d = check_integer(d, "head dimension", DimensionError)
     if d < 2 or d % 2 != 0:
         raise DimensionError(f"head dimension must be an even integer >= 2, got {d}")
     check_array_budget(d // 2, f"head dimension d={d}")
-    if not isinstance(base, numbers.Real):
+    if isinstance(base, bool) or not isinstance(base, numbers.Real):
         raise ParameterError(f"base must be a real number, got {base!r}")
     if not (math.isfinite(base) and base > 0):
         raise ParameterError(f"base must be finite and > 0, got {base}")
@@ -102,6 +101,7 @@ def check_head_params(d: int, base: float) -> None:
         raise ParameterError(
             f"base {base} too small for d={d}: base**(-(d-2)/d) * 2**54 overflows"
         ) from None
+    return d
 
 
 def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:
@@ -111,11 +111,11 @@ def build_frequency_schedule(base: float, d: int) -> FrequencySchedule:
         DimensionError: if ``d`` is odd or smaller than 2.
         ParameterError: if ``base`` is rejected by :func:`check_head_params`.
     """
-    check_head_params(d, base)
+    d = check_head_params(d, base)
     j = np.arange(d // 2, dtype=np.float64)
     theta = float(base) ** (-2.0 * j / d)
     theta.setflags(write=False)
-    return FrequencySchedule(base=float(base), d=int(d), theta=theta)
+    return FrequencySchedule(base=float(base), d=d, theta=theta)
 
 
 def _as_vector(x, name: str) -> np.ndarray:

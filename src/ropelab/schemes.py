@@ -19,14 +19,13 @@ matches plain 1-D rotary encoding at that position.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
 from ._frozen import Frozen
-from .errors import ConfigError, CoordinateError, DimensionError, ParameterError
+from .errors import ConfigError, CoordinateError, DimensionError, ParameterError, check_integer
 from .rotary import (
     FrequencySchedule,
     _as_vector,
@@ -50,12 +49,10 @@ class VideoGrid(Frozen):
     __match_args__ = ("width", "height", "frames")
 
     def __init__(self, width: int, height: int, frames: int):
-        for name, value in (("width", width), ("height", height), ("frames", frames)):
-            if not isinstance(value, numbers.Integral):
-                raise ParameterError(f"grid {name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ParameterError(f"grid {name} must be >= 1, got {value}")
-        self.__dict__.update(width=int(width), height=int(height), frames=int(frames))
+        self.__dict__.update(
+            (name, check_integer(value, f"grid {name}", low=1))
+            for name, value in (("width", width), ("height", height), ("frames", frames))
+        )
 
     @property
     def tokens_per_frame(self) -> int:
@@ -135,15 +132,12 @@ class SchemeConfig(Frozen):
     ):
         if scheme not in SCHEME_IDS:
             raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEME_IDS}")
-        check_head_params(d, base)
-        d = int(d)
+        d = check_head_params(d, base)
         rule = _RULES[scheme]
         if d // 2 % rule.pairs_divisor != 0:
             raise ConfigError(f"{scheme} needs d/2 divisible by {rule.pairs_divisor}, got d={d}")
         if partition is not None:
-            if not all(isinstance(s, numbers.Integral) for s in partition):
-                raise ConfigError(f"partition sizes must be integers, got {partition!r}")
-            partition = tuple(int(s) for s in partition)
+            partition = tuple(check_integer(s, "partition size", ConfigError) for s in partition)
             if not rule.takes_partition:
                 raise ConfigError(f"{scheme} does not take a partition")
             if len(partition) != rule.groups:
@@ -168,12 +162,14 @@ class SchemeConfig(Frozen):
         return build_frequency_schedule(self.base, self.d)
 
 
-def _check_coordinate(coord: TokenCoordinate, grid: VideoGrid) -> None:
-    if not (0 <= coord.w < grid.width and 0 <= coord.h < grid.height and 0 <= coord.t < grid.frames):
+def _check_coordinate(coord: TokenCoordinate, grid: VideoGrid) -> tuple[int, int, int]:
+    """``coord``'s ``(w, h, t)`` as ints; CoordinateError unless they are integers inside ``grid``."""
+    w, h, t = (check_integer(getattr(coord, a), f"coordinate {a}", CoordinateError) for a in "wht")
+    if not (0 <= w < grid.width and 0 <= h < grid.height and 0 <= t < grid.frames):
         raise CoordinateError(
-            f"coordinate (w={coord.w}, h={coord.h}, t={coord.t}) outside "
-            f"{grid.width}x{grid.height}x{grid.frames} grid"
+            f"coordinate (w={w}, h={h}, t={t}) outside {grid.width}x{grid.height}x{grid.frames} grid"
         )
+    return w, h, t
 
 
 def symmetric_indices(coord: TokenCoordinate) -> SymmetricIndices:
@@ -197,8 +193,10 @@ def video_map(
 
     Returns int64 ``matrix`` (3, G) and ``offsets`` (G,), ``p_start`` included, so
     cells ``(..., 3)`` of ``(w, h, t)`` map to ``cells @ matrix + offsets``; and each
-    dim's largest value, as Python ints. Raises ParameterError past ``MAX_POSITION``.
+    dim's largest value, as Python ints. Raises ParameterError for a ``p_start`` that is not
+    an integer or a position past ``MAX_POSITION`` either side of 0 (none is below ``p_start``).
     """
+    p_start = check_integer(p_start, "p_start", low=-MAX_POSITION)
     rule = _RULES[config.scheme]
     rows, sizes = rule.rows(grid), (grid.width, grid.height, grid.frames)
     offsets = [p_start + offset for offset in rule.offsets(grid)]
@@ -214,8 +212,8 @@ def scheme_position(
     config: SchemeConfig, coord: TokenCoordinate, grid: VideoGrid, p_start: int
 ) -> PositionVector:
     """Position vector of a video token under the configured scheme."""
-    _check_coordinate(coord, grid)
-    return tuple(video_positions(config, coord.w, coord.h, coord.t, grid, p_start).tolist())
+    w, h, t = _check_coordinate(coord, grid)
+    return tuple(video_positions(config, w, h, t, grid, p_start).tolist())
 
 
 def video_positions(config: SchemeConfig, w, h, t, grid: VideoGrid, p_start: int) -> np.ndarray:

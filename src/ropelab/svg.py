@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csvblock import format_block, row_blocks
-from .diagnostics import ScoreGrid
+from .diagnostics import ScoreGrid, _scanline
 
 CELL = 48
 FONT = 10
@@ -32,16 +32,18 @@ _LABEL_FILLS = np.array(["#ffffff", "#000000"], dtype=object)
 def heatmap_svg(grid: ScoreGrid, cells: range | None = None) -> str:
     """The SVG text of ``grid``, or the part of it that holds ``cells``.
 
-    ``cells`` is a range of cells in scanline order (``h`` outer, ``w``
-    inner). Its part holds the header when it starts at cell 0 and the
-    closing tag when it stops at the last cell, so the parts of consecutive
-    ranges join into the text; without ``cells`` the text is the join of
+    ``cells`` is a step-1 range of cells inside ``[0, W*H]`` in scanline
+    order (``h`` outer, ``w`` inner), else CoordinateError. Its part holds
+    the header when it starts at cell 0 and the closing tag when it stops
+    at the last cell, so the parts of consecutive ranges join into the
+    text; without ``cells`` the text is the join of
     :func:`heatmap_svg_blocks`. A cell's gray is
     ``round(255 * (value - min) / (max - min))``, half to even, or 128 when
     every value is the same.
     """
     if cells is None:
         return "".join(heatmap_svg_blocks(grid))
+    w, h, block = _scanline(grid, cells)
     values = grid.values
     width, height = values.shape
     vmin, vmax = grid.value_range
@@ -51,8 +53,6 @@ def heatmap_svg(grid: ScoreGrid, cells: range | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * CELL}" '
         f'height="{height * CELL}" viewBox="0 0 {width * CELL} {height * CELL}">\n'
     )
-    h, w = np.divmod(np.arange(cells.start, cells.stop), width)
-    block = values[w, h]
     norm = np.full_like(block, 0.5) if span == 0.0 else (block - vmin) / span
     gray = np.rint(norm * 255).astype(np.int64)
     x, y = (w * CELL).tolist(), (h * CELL).tolist()

@@ -16,6 +16,7 @@ from ropelab import (
     ParameterError,
     SCHEME_IDS,
     SchemeConfig,
+    ScoreGrid,
     TextSegment,
     TokenCoordinate,
     TrialConfig,
@@ -31,6 +32,7 @@ from ropelab import (
     heatmap,
     heatmap_csv,
     heatmap_csv_blocks,
+    heatmap_svg,
     monte_carlo_heatmap,
     pair_positions,
     scheme_position,
@@ -120,6 +122,12 @@ class TestHeatmap:
         with pytest.raises(CoordinateError, match="integer"):
             heatmap(config, video, frame, query)
         assert heatmap(config, video, np.int64(1), query) == heatmap(config, video, 1, query)
+
+    def test_frame_is_stored_as_a_python_int(self):
+        config, video, query = SchemeConfig("vrope", d=8), VideoGrid(2, 2, 2), (5, 5, 5, 5)
+        assert type(heatmap(config, video, np.int64(1), query).frame) is int
+        trial_config = TrialConfig(seed=3, trials=2)
+        assert type(monte_carlo_heatmap(config, video, np.int64(1), query, trial_config).frame) is int
 
     def test_frame_past_int64_where_positions_ignore_t(self):
         # rope2d's positions ignore t, so frame 2**64 scores as frame 0 does
@@ -586,6 +594,23 @@ class TestSoftmaxGrid:
         assert (np.argsort(soft.values, axis=None) == np.argsort(grid.values, axis=None)).all()
 
 
+class TestScoreGridValues:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.full((1, 1), np.nan),  # heatmap_svg cast the NaN to a gray, with a RuntimeWarning
+            np.array([[0.5, np.inf]]),
+            np.zeros(3),  # heatmap_svg raised a raw IndexError
+            np.zeros((0, 2)),
+            np.zeros((2, 2), dtype=np.float32),
+            [[0.5]],
+        ],
+    )
+    def test_values_must_be_a_finite_2d_float64_array(self, values):
+        with pytest.raises(ParameterError, match="score grid values"):
+            ScoreGrid(values, SchemeConfig("vrope", d=8), (0, 0, 0, 0), 0)
+
+
 class TestCsvFormats:
     def test_heatmap_csv(self):
         config = SchemeConfig("rope_share", d=8)
@@ -610,6 +635,16 @@ class TestCsvFormats:
         # a block per BLOCK_ROWS cells, the first with the header
         blocks = list(heatmap_csv_blocks(grid))
         assert "".join(blocks) == expected and len(blocks) == -(-15 // rows)
+
+    @pytest.mark.parametrize("writer", [heatmap_csv, heatmap_svg])
+    def test_cells_must_be_a_step_one_range_inside_the_grid(self, writer):
+        grid = heatmap(SchemeConfig("rope_share", d=8), VideoGrid(2, 2, 1), 0, (3,))
+        # negative coordinates were written, the step was ignored, and a range
+        # past the grid raised a raw IndexError
+        for cells in (range(-3, 2), range(0, 4, 2), range(0, 100)):
+            with pytest.raises(CoordinateError, match="step-1 range"):
+                writer(grid, cells)
+        assert writer(grid, range(0, 1)) + writer(grid, range(1, 1)) + writer(grid, range(1, 4)) == writer(grid)
 
     @pytest.mark.parametrize("rows", [1, 7, 1001])
     def test_decay_csv_block_size_does_not_change_bytes(self, rows, monkeypatch):

@@ -14,8 +14,12 @@ from ropelab import (
     SchemeConfig,
     TextSegment,
     TokenCoordinate,
+    TrialConfig,
     VideoGrid,
+    build_frequency_schedule,
+    decay_curve,
     group_allocation,
+    heatmap,
     pair_positions,
     rotate_with_scheme,
     scheme_position,
@@ -231,6 +235,15 @@ class TestVideoMap:
             text_start_after_video(config, grid, 1)
 
     @pytest.mark.parametrize("scheme", SCHEME_IDS)
+    def test_smallest_position_may_reach_the_bound(self, scheme):
+        # no position lies below p_start; one past int64 raised numpy's OverflowError
+        config, grid = SchemeConfig(scheme, d=8), VideoGrid(2, 2, 1)
+        assert video_positions(config, 0, 1, 0, grid, -MAX_POSITION).min() >= -MAX_POSITION
+        for p_start in (-MAX_POSITION - 1, -(2**64)):
+            with pytest.raises(ParameterError, match="p_start must be >="):
+                video_positions(config, 0, 0, 0, grid, p_start)
+
+    @pytest.mark.parametrize("scheme", SCHEME_IDS)
     def test_oversized_grid_raises_instead_of_wrapping(self, scheme):
         config = SchemeConfig(scheme, d=8)
         grid = VideoGrid(2**60, 2**60, 2**62)
@@ -387,6 +400,37 @@ class TestVideoGrid:
         pytest.param(
             lambda v: SchemeConfig("rope2d", partition=v), (np.int8(16), 16), ("16", "16"),
             ConfigError, id="partition-str",
+        ),
+        # a bool is not an integer anywhere, though Python counts it as an Integral
+        pytest.param(lambda v: VideoGrid(v, 2, 1), np.int64(2), True, ParameterError, id="width-bool"),
+        pytest.param(lambda v: VideoGrid(2, 2, v), np.int32(1), True, ParameterError, id="frames-bool"),
+        pytest.param(TextSegment, np.int64(2), True, ParameterError, id="text-count-bool"),
+        pytest.param(
+            lambda v: SchemeConfig("rope3d", d=12, partition=v), (np.int64(1), 1, 4), (True, True, 4),
+            ConfigError, id="partition-bool",
+        ),
+        pytest.param(
+            lambda v: SchemeConfig("rope1d", base=v), np.float64(2.0), True, ParameterError,
+            id="base-bool",
+        ),
+        pytest.param(lambda v: TrialConfig(v, 1), np.uint64(3), True, ParameterError, id="seed-bool"),
+        pytest.param(lambda v: TrialConfig(0, v), np.int64(1), True, ParameterError, id="trials-bool"),
+        pytest.param(
+            lambda v: decay_curve(build_frequency_schedule(10000.0, 8), v), np.int64(1), True,
+            ParameterError, id="max-delta-bool",
+        ),
+        pytest.param(
+            lambda v: heatmap(SchemeConfig("vrope", d=8), VideoGrid(2, 2, 2), v, (0, 0, 0, 0)),
+            np.int64(1), True, CoordinateError, id="frame-bool",
+        ),
+        # p_start was truncated to 0, and a float coordinate raised numpy's TypeError
+        pytest.param(
+            lambda v: vrope_position(TokenCoordinate(0, 0, 0), VideoGrid(2, 2, 1), v), np.int64(3),
+            0.5, ParameterError, id="p-start",
+        ),
+        pytest.param(
+            lambda v: scheme_position(SchemeConfig("rope3d"), TokenCoordinate(v, 0, 0), VideoGrid(2, 2, 1), 0),
+            np.int64(1), 0.5, CoordinateError, id="coordinate",
         ),
     ],
 )
