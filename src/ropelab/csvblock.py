@@ -1,7 +1,9 @@
 """Blocks of rows, each CSV block formatted by a single ``%`` over a repeated row template.
 
-Every row-blocked pass walks its rows through :func:`row_blocks`, at most
-``BLOCK_ROWS`` rows at a time, and every CSV writer (and the heatmap SVG
+The row walks and the text writers (the layout's walk, the heatmap CSV and
+SVG, the decay CSV) take their rows through :func:`row_blocks`, at most
+``BLOCK_ROWS`` rows at a time; the float kernels block by elements instead
+(:func:`ropelab.rotary.block_rows`). Every CSV writer (and the heatmap SVG
 writer) formats a block through :func:`format_block`: the block's columns
 are interleaved row-major into one flat list and ``row_format * n`` is
 filled in one C-level ``%`` call. The result equals ``"".join(row_format % row for row in zip(*columns))``, since
@@ -12,7 +14,7 @@ through :func:`fill_rows`.
 
 from __future__ import annotations
 
-# rows per block in every row-blocked pass
+# rows per block in every row walk and text writer
 BLOCK_ROWS = 4096
 
 

@@ -5,7 +5,15 @@ The default metric is the closed-form expected self-score
 rotated dot product of a random vector with itself across a position
 offset, normalized to 1 at zero offset. Each diagnostic reads ``d``, the
 base and the partition from its :class:`~ropelab.schemes.SchemeConfig` (the
-boundary table from ``layout.scheme``) alone. A Monte-Carlo variant
+boundary table from ``layout.scheme``) alone. A heatmap reads its frame as
+three per-pair int64 vectors ``(first, a, b)`` (:func:`_frame_steps`), cell
+``(w, h)`` sitting at ``first + w*a + h*b``: the closed form subtracts a
+block of those positions from the query, and the Monte-Carlo heatmap rotates
+at ``q - first`` and ``w*a + h*b``. Every float kernel here is blocked in
+elements, about ``rotary.BLOCK_ELEMENTS`` values a block
+(:func:`~ropelab.rotary.block_rows`): the closed-form heatmap's columns,
+the decay curve's offsets and the Monte-Carlo key blocks, so memory follows
+the block, not the frame or the curve. A Monte-Carlo variant
 estimates the same quantity through the actual rotation path, with only
 the seed and trial count in its :class:`TrialConfig`; trial ``r`` draws
 ``standard_normal(d)`` from numpy's PCG64 seeded by
@@ -54,6 +62,7 @@ from .schemes import (
     VideoGrid,
     group_allocation,
     pair_positions,
+    video_map,
     video_positions,
 )
 
@@ -157,20 +166,14 @@ def _check_frame(config: SchemeConfig, grid: VideoGrid, frame: int) -> int:
     return frame
 
 
-def _frame_pair_positions(
-    config: SchemeConfig, grid: VideoGrid, frame: int, columns: range | None = None
-) -> np.ndarray:
-    """Per-pair positions of the cells of one frame, shape (W, H, pairs), or of its ``columns``.
+def _frame_steps(config: SchemeConfig, grid: VideoGrid, frame: int) -> tuple[np.ndarray, ...]:
+    """Per-pair int64 ``(first, a, b)`` of ``frame``: cell ``(w, h)`` sits at ``first + w*a + h*b``.
 
-    ``columns`` is a range of ``w`` (the whole frame when None), and the
-    result then has shape ``(len(columns), H, pairs)``. The frame is not
-    checked here; :func:`_check_frame` does that.
+    ``first`` is cell ``(0, 0)``, the video starting at 0; the frame is not checked here.
     """
-    columns = range(grid.width) if columns is None else columns
-    w = np.arange(columns.start, columns.stop)[:, None]
-    h = np.arange(grid.height)[None, :]
-    cells = video_positions(config, w, h, frame, grid, 0)
-    return cells[:, :, group_allocation(config)]
+    alloc = group_allocation(config)
+    a, b = video_map(config, grid, 0)[0][:2, alloc]  # the map's w and h rows
+    return video_positions(config, 0, 0, frame, grid, 0)[alloc], a, b
 
 
 def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVector) -> ScoreGrid:
@@ -178,20 +181,23 @@ def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVe
 
     Cell positions are taken with the video starting at position 0; pass an
     absolute query vector (scores depend only on the differences). The
-    frame is scored ``block_rows(H*d/2)`` columns at a time, so besides the
-    ``W*H`` values only one block's positions and angles, about
-    ``rotary.BLOCK_ELEMENTS`` values each, are held at once; each cell's
-    score does not depend on the block.
+    frame is scored ``block_rows(H*d/2)`` columns at a time, each cell's exact
+    position ``first + h*b + w*a`` (:func:`_frame_steps`) subtracted from the
+    query once, so besides the ``W*H`` values one block's positions and angles,
+    about ``rotary.BLOCK_ELEMENTS`` values each, are held at once.
     """
-    q = pair_positions(query, config)
+    q = pair_positions(query, config)[:, None, None]
     frame = _check_frame(config, grid, frame)
+    first, a, b = _frame_steps(config, grid, frame)
     schedule = config.schedule()
+    # blocks are (pairs, w, h), scored as their transpose: each cell's mean adds its pairs in one order
+    column = first[:, None] + b[:, None] * np.arange(grid.height)  # the cells (0, h)
     values = np.empty((grid.width, grid.height), dtype=np.float64)
     step = block_rows(grid.height * config.pairs)
     for start in range(0, grid.width, step):
-        columns = range(start, min(start + step, grid.width))
-        cells = _frame_pair_positions(config, grid, frame, columns)
-        values[start : columns.stop] = expected_self_score(q - cells, schedule)
+        w = np.arange(start, min(start + step, grid.width))[:, None]
+        cells = column[:, None, :] + a[:, None, None] * w
+        values[start : start + step] = expected_self_score((q - cells).transpose(1, 2, 0), schedule)
     return ScoreGrid(values=values, scheme=config, query=tuple(query), frame=frame)
 
 
@@ -232,13 +238,12 @@ def monte_carlo_heatmap(
     schedule = config.schedule()
     d = config.d
     frame = _check_frame(config, grid, frame)
-    keys = _frame_pair_positions(config, grid, frame)
-    # rotate by offsets from the frame's cell (0, 0), subtracted while the
-    # positions are still exact integers: scores depend only on differences,
-    # and the angles stay as small as the frame, however far into the video
-    origin = keys[0, 0]
-    q_angles = (pair_positions(query, config) - origin) * schedule.theta
-    k_angles = (keys - origin) * schedule.theta
+    first, a, b = _frame_steps(config, grid, frame)
+    # offsets from the frame's cell (0, 0), exact integers until they meet theta:
+    # the angles stay as small as the frame, however far into the video
+    q_angles = (pair_positions(query, config) - first) * schedule.theta
+    w, h = np.arange(grid.width)[:, None, None], np.arange(grid.height)[:, None]
+    k_angles = (w * a + h * b) * schedule.theta
     cells = grid.tokens_per_frame
     # one trial's rotated keys, and each of the frame's two factor arrays, hold W*H*d values
     check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
@@ -357,10 +362,11 @@ def decay_curve(schedule: FrequencySchedule, max_delta: int) -> DecayCurve:
     max_delta = check_integer(max_delta, "max_delta", low=1)
     check_array_budget((max_delta + 1) * schedule.pairs, f"a decay curve to {max_delta}")
     values = np.empty(max_delta + 1, dtype=np.float64)
-    # a block of offsets at a time; each row's score does not depend on the block
-    for rows in row_blocks(0, max_delta + 1):
-        deltas = np.arange(rows.start, rows.stop, dtype=np.float64)
-        values[rows.start : rows.stop] = expected_self_score(
+    # block_rows(d/2) offsets at a time; each row's score does not depend on the block
+    step = block_rows(schedule.pairs)
+    for start in range(0, max_delta + 1, step):
+        deltas = np.arange(start, min(start + step, max_delta + 1), dtype=np.float64)
+        values[start : start + step] = expected_self_score(
             np.broadcast_to(deltas[:, None], (len(deltas), schedule.pairs)), schedule
         )
     values.setflags(write=False)

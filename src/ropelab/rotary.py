@@ -34,8 +34,9 @@ from .errors import DimensionError, ParameterError, check_integer
 # anything is allocated, instead of failing (or swapping) inside numpy.
 MAX_ARRAY_ELEMENTS = 2**26
 
-# values per block of a blocked rotation (512 KiB of float64): :func:`rotate`'s
-# result blocks, and the Monte-Carlo heatmap's key blocks and normal draws
+# values per block of every blocked float kernel (512 KiB of float64): :func:`rotate`'s
+# result blocks, the Monte-Carlo heatmap's key blocks and normal draws, and the
+# closed-form heatmap's and the decay curve's score blocks
 BLOCK_ELEMENTS = 2**16
 
 
@@ -145,8 +146,9 @@ def rotate(x, angles) -> np.ndarray:
     arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
     no value, since every operation is elementwise.
 
-    Raises ParameterError, before anything is allocated, if the broadcast
-    result has more than the element budget's values.
+    Raises ParameterError, before anything is allocated, if an angle is NaN
+    or infinite, or if the broadcast result has more than the element
+    budget's values.
     """
     x = np.asarray(x, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -161,6 +163,8 @@ def rotate(x, angles) -> np.ndarray:
         raise DimensionError(
             f"expected {d // 2} angles for a length-{d} vector, got {angles.shape[-1]}"
         )
+    if not np.isfinite(angles).all():
+        raise ParameterError("rotation angles must be finite, got a NaN or infinite angle")
     try:
         lead = np.broadcast_shapes(x.shape[:-1], angles.shape[:-1])
     except ValueError:
@@ -243,7 +247,8 @@ def attention_score(q, q_angles, k, k_angles) -> float:
     """Unnormalized dot-product score between a rotated query and key.
 
     Depends only on the per-pair angle differences: shifting both angle
-    vectors by a common offset leaves the score unchanged.
+    vectors by a common offset leaves the score unchanged. Raises
+    ParameterError for a NaN or infinite angle, as :func:`rotate` does.
     """
     rq = rotate(_as_vector(q, "q"), _as_vector(q_angles, "q_angles"))
     rk = rotate(_as_vector(k, "k"), _as_vector(k_angles, "k_angles"))
@@ -287,13 +292,18 @@ def expected_self_score(delta, schedule: FrequencySchedule) -> float | np.ndarra
 
     ``delta`` has shape ``(..., d/2)``, one offset per channel pair in the
     last axis; the result has the leading shape, or is a ``float`` for 1-D.
+    Raises ParameterError if an angle ``delta[j] * theta[j]`` is NaN or infinite.
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim == 0 or delta.shape[-1] != schedule.pairs:
         raise DimensionError(
             f"expected {schedule.pairs} per-pair deltas in the last axis, got shape {delta.shape}"
         )
-    # cosine in place in this function's own product buffer, never in the caller's delta
-    angles = delta * schedule.theta
-    scores = np.cos(angles, out=angles).mean(axis=-1)
+    # cosine in place in this function's own product buffer, never in the caller's delta;
+    # a NaN or infinite angle gives a NaN mean, so only the means are checked
+    with np.errstate(invalid="ignore", over="ignore"):
+        angles = delta * schedule.theta
+        scores = np.cos(angles, out=angles).mean(axis=-1)
+    if not np.isfinite(scores).all():
+        raise ParameterError("delta * theta must be finite, got a NaN or infinite angle")
     return float(scores) if delta.ndim == 1 else scores

@@ -173,8 +173,12 @@ def _check_coordinate(coord: TokenCoordinate, grid: VideoGrid) -> tuple[int, int
 
 
 def symmetric_indices(coord: TokenCoordinate) -> SymmetricIndices:
-    """Four diagonal position indices of a cell: vrope's ``_DIAGONALS`` over ``(w, h)``."""
-    return SymmetricIndices(*(a * coord.w + b * coord.h for a, b in _DIAGONALS))
+    """Four diagonal position indices of a cell: vrope's ``_DIAGONALS`` over ``(w, h)``.
+
+    Raises CoordinateError unless ``w`` and ``h`` are integers.
+    """
+    w, h = (check_integer(getattr(coord, a), f"coordinate {a}", CoordinateError) for a in "wh")
+    return SymmetricIndices(*(a * w + b * h for a, b in _DIAGONALS))
 
 
 def vrope_position(coord: TokenCoordinate, grid: VideoGrid, p_start: int) -> PositionVector:
@@ -253,8 +257,11 @@ def group_allocation(config: SchemeConfig) -> np.ndarray:
 
 
 def text_position(m: int, config: SchemeConfig) -> PositionVector:
-    """Isotropic position of a text token: every group reads the scalar ``m``."""
-    return (m,) * config.group_count
+    """Isotropic position of a text token: every group reads the scalar ``m``.
+
+    Raises ParameterError unless ``m`` is an integer.
+    """
+    return (check_integer(m, "text position"),) * config.group_count
 
 
 def text_start_after_video(config: SchemeConfig, grid: VideoGrid, p_start: int) -> PositionVector:
@@ -273,19 +280,23 @@ def text_start_after_video(config: SchemeConfig, grid: VideoGrid, p_start: int) 
 def pair_positions(position, config: SchemeConfig) -> np.ndarray:
     """Expand a position vector to one value per channel pair via the allocation.
 
-    Raises ParameterError if a dim is not finite or lies past ``MAX_POSITION``
-    either side of 0, checked before the float64 cast, which would round it.
+    Raises ParameterError if a dim is a bool, is not finite or lies past
+    ``MAX_POSITION`` either side of 0, checked before the float64 cast, which
+    would round it.
     """
-    position = np.asarray(position)
-    if position.ndim != 1 or position.size != config.group_count:
+    array = np.asarray(position)
+    if array.ndim != 1 or array.size != config.group_count:
         raise DimensionError(
             f"{config.scheme} position needs {config.group_count} dims, "
-            f"got shape {position.shape}"
+            f"got shape {array.shape}"
         )
-    for value in position.tolist():
+    # checked on the input: numpy reads a tuple mixing bools and ints as an int array
+    if any(isinstance(value, (bool, np.bool_)) for value in position):
+        raise ParameterError(f"{config.scheme} position dims must not be bools, got {position!r}")
+    for value in array.tolist():
         if not abs(value) <= MAX_POSITION:
             raise ParameterError(f"{config.scheme} position {value} is outside [-2**53, 2**53]")
-    return position.astype(np.float64)[group_allocation(config)]
+    return array.astype(np.float64)[group_allocation(config)]
 
 
 def rotate_with_scheme(x, position, config: SchemeConfig) -> np.ndarray:

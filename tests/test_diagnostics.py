@@ -39,7 +39,7 @@ from ropelab import (
     softmax_grid,
 )
 from ropelab import csvblock, diagnostics, rotary
-from ropelab.schemes import text_start_after_video
+from ropelab.schemes import group_allocation, text_start_after_video, video_positions
 
 from oracles import (
     expected_score_ref,
@@ -145,7 +145,8 @@ class TestHeatmap:
         config = SchemeConfig(scheme, d=24)
         video = VideoGrid(9, 5, 3)
         query = (17,) * config.group_count
-        cells = diagnostics._frame_pair_positions(config, video, 2)
+        w, h = np.arange(9)[:, None], np.arange(5)[None, :]
+        cells = video_positions(config, w, h, 2, video, 0)[:, :, group_allocation(config)]
         expected = expected_self_score(pair_positions(query, config) - cells, config.schedule())
         monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", elements)
         assert np.array_equal(heatmap(config, video, 2, query).values, expected)
@@ -236,8 +237,21 @@ class TestDecayCurve:
         schedule = build_frequency_schedule(10000.0, d)
         whole = decay_curve(schedule, 1000)
         for rows in (1, 7, 1000, 1001):
-            monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+            monkeypatch.setattr(rotary, "BLOCK_ELEMENTS", rows * schedule.pairs)
             assert decay_curve(schedule, 1000) == whole
+
+    def test_peak_memory_is_the_values_and_one_block(self):
+        schedule = build_frequency_schedule(10000.0, 8192)
+        decay_curve(schedule, 2)  # imports and caches
+        tracemalloc.start()
+        try:
+            curve = decay_curve(schedule, 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.values.nbytes == 8001 * 8
+        # blocks of 4096 offsets of d/2 = 4096 angles each take the peak to about 128 MiB
+        assert peak < 4 * 2**20
 
     def test_values_are_read_only_and_points_follow_them(self):
         curve = decay_curve(build_frequency_schedule(10000.0, 8), 32)
@@ -427,7 +441,8 @@ class TestMonteCarloHeatmap:
         query = build_layout([VideoSegment(video), TextSegment(1)], config).tokens[-1].position
         got = monte_carlo_heatmap(config, video, 1, query, TrialConfig(seed=seed, trials=trials))
         schedule = config.schedule()
-        keys = diagnostics._frame_pair_positions(config, video, 1)
+        w, h = np.arange(8)[:, None], np.arange(8)[None, :]
+        keys = video_positions(config, w, h, 1, video, 0)[:, :, group_allocation(config)]
         q_angles = (pair_positions(query, config) - keys[0, 0]) * schedule.theta
         k_angles = (keys - keys[0, 0]) * schedule.theta
         acc = np.zeros((8, 8))

@@ -166,7 +166,14 @@ class TestRotate:
         angles = data.draw(arrays(np.float64, (2, 3, 4), elements=elements))
         # inf * 0, inf - inf and cos(inf) are NaN, which numpy flags as invalid
         with np.errstate(invalid="ignore"):
-            got, expected = rotate(x, angles), _pair_formula(x, angles)
+            expected = _pair_formula(x, angles)
+            if np.isfinite(angles).all():
+                got = rotate(x, angles)
+            else:
+                # rotate refuses a NaN or infinite angle; its kernel keeps the IEEE results
+                with pytest.raises(ParameterError, match="finite"):
+                    rotate(x, angles)
+                got = rotary.rotate_into(x, *rotary.rotation_factors(angles), np.empty(expected.shape))
         assert np.array_equal(got, expected, equal_nan=True)
         numbers = ~np.isnan(expected)
         assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))

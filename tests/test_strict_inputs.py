@@ -2,7 +2,8 @@
 
 Sizes, indices, counts, seeds and offsets follow one integer rule,
 :func:`ropelab.errors.check_integer`; these tests hold every entry point to it
-at edge values, and hold the rule to its one home.
+at edge values, and hold the rule to its one home. Inputs that once gave a
+NaN, a bool read as 1 or a raw numpy warning each raise their RopelabError.
 """
 
 import inspect
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import ropelab
 from ropelab import (
+    CoordinateError,
+    ParameterError,
     RopelabError,
     SchemeConfig,
     TextSegment,
@@ -23,17 +26,22 @@ from ropelab import (
     TrialConfig,
     VideoGrid,
     VideoSegment,
+    attention_score,
     boundary_score_table,
     build_frequency_schedule,
     build_layout,
     decay_curve,
+    expected_self_score,
     heatmap,
     heatmap_csv,
     heatmap_svg,
     monte_carlo_heatmap,
     pair_positions,
+    rotate,
     rotate_with_scheme,
     scheme_position,
+    symmetric_indices,
+    text_position,
     vrope_position,
 )
 from ropelab.errors import check_integer
@@ -61,7 +69,14 @@ ENTRY_POINTS = {
         SchemeConfig("rope1d"), TokenCoordinate(a, b, c), VideoGrid(2, 2, 2), e
     ),
     "vrope_position": lambda a, b, c, e: vrope_position(TokenCoordinate(a, b, c), VideoGrid(2, 2, 2), e),
+    "symmetric_indices": lambda a, b, c, e: symmetric_indices(TokenCoordinate(a, b, c)),
+    "text_position": lambda a, b, c, e: text_position(a, SchemeConfig("rope3d", d=8)),
     "pair_positions": lambda a, b, c, e: pair_positions((a, b, c), SchemeConfig("rope3d", d=8)),
+    "rotate": lambda a, b, c, e: rotate(np.ones(4), (a, b)),
+    "expected_self_score": lambda a, b, c, e: expected_self_score(
+        (a, b, c, e), build_frequency_schedule(10000.0, 8)
+    ),
+    "attention_score": lambda a, b, c, e: attention_score(np.ones(4), (a, b), np.ones(4), (c, e)),
     "rotate_with_scheme": lambda a, b, c, e: rotate_with_scheme(
         np.ones(8), (a, b, c), SchemeConfig("rope3d", d=8)
     ),
@@ -85,6 +100,38 @@ def test_numeric_arguments_give_a_result_or_a_ropelab_error(name, args):
         ENTRY_POINTS[name](*args)
     except RopelabError:
         pass
+
+
+_ROPE3D = SchemeConfig("rope3d", d=8)
+_SCHEDULE = build_frequency_schedule(10000.0, 4)
+
+# inputs that once gave a NaN, a value read from a bool, or a raw numpy warning
+REJECTED = {
+    "rotate-inf": (ParameterError, lambda: rotate(np.ones(4), [np.inf, 0])),
+    "rotate-nan": (ParameterError, lambda: rotate(np.ones(4), [np.nan, 0])),
+    "rotate-batch-nan": (ParameterError, lambda: rotate(np.ones((3, 4)), [[0, 0], [0, 0], [0, -np.inf]])),
+    "expected_self_score-inf": (ParameterError, lambda: expected_self_score(np.full(2, np.inf), _SCHEDULE)),
+    "expected_self_score-nan": (ParameterError, lambda: expected_self_score([[0, 0], [np.nan, 0]], _SCHEDULE)),
+    "expected_self_score-overflow": (
+        ParameterError, lambda: expected_self_score([0, 1.7e308], build_frequency_schedule(0.5, 4))
+    ),
+    "attention_score-nan": (ParameterError, lambda: attention_score(np.ones(4), [0, np.nan], np.ones(4), [0, 0])),
+    "attention_score-inf": (ParameterError, lambda: attention_score(np.ones(4), [0, 0], np.ones(4), [-np.inf, 0])),
+    "symmetric_indices-nan": (CoordinateError, lambda: symmetric_indices(TokenCoordinate(math.nan, 0, 0))),
+    "symmetric_indices-half": (CoordinateError, lambda: symmetric_indices(TokenCoordinate(0, 0.5, 0))),
+    "text_position-nan": (ParameterError, lambda: text_position(math.nan, _ROPE3D)),
+    "text_position-bool": (ParameterError, lambda: text_position(True, _ROPE3D)),
+    "pair_positions-numpy-bool": (ParameterError, lambda: pair_positions((np.True_, 0, 0), _ROPE3D)),
+    "pair_positions-bool": (ParameterError, lambda: pair_positions((0, True, 0), _ROPE3D)),
+    "pair_positions-bool-array": (ParameterError, lambda: pair_positions(np.array([True, False, True]), _ROPE3D)),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_rejected_inputs_raise_their_ropelab_error(name):
+    error, call = REJECTED[name]
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("writer", [heatmap_csv, heatmap_svg])
