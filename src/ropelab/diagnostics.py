@@ -6,8 +6,9 @@ rotated dot product of a random vector with itself across a position
 offset, normalized to 1 at zero offset. Each diagnostic reads ``d``, the
 base and the partition from its :class:`~ropelab.schemes.SchemeConfig` (the
 boundary table from ``layout.scheme``) alone. A heatmap reads its frame as
-three per-pair int64 vectors ``(first, a, b)`` (:func:`_frame_steps`), cell
-``(w, h)`` sitting at ``first + w*a + h*b``: the closed form subtracts a
+three per-pair int64 vectors ``(first, a, b)``, cell ``(w, h)`` sitting at
+``first + w*a + h*b``, from :func:`_frame`, which first checks the frame
+index and the frame against the array budget: the closed form subtracts a
 block of those positions from the query, and the Monte-Carlo heatmap rotates
 at ``q - first`` and ``w*a + h*b``. Every float kernel here is blocked in
 elements, about ``rotary.BLOCK_ELEMENTS`` values a block
@@ -41,12 +42,14 @@ does not change the sums.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 
 import numpy as np
 
 from ._frozen import Frozen
 from .csvblock import format_block, row_blocks
-from .errors import CoordinateError, ParameterError, check_integer
+from .errors import ConfigError, CoordinateError, ParameterError, check_integer
 from .layout import TokenLayout, VideoSegment, video_text_boundaries
 from .rotary import (
     FrequencySchedule,
@@ -57,6 +60,7 @@ from .rotary import (
     rotation_factors,
 )
 from .schemes import (
+    SCHEME_IDS,
     PositionVector,
     SchemeConfig,
     VideoGrid,
@@ -75,27 +79,39 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 
 
+def _value_range(values: np.ndarray, ndim: int, what: str) -> tuple[float, float]:
+    """``(min, max)`` of ``values`` as floats; ParameterError unless a valid value array.
+
+    ``values`` must be an ``ndim``-D float64 array of at least one value,
+    every value finite, whose ``max - min`` is finite. The span is taken in
+    Python floats, which overflow to ``inf`` without a warning; a NaN or an
+    infinite value gives a NaN or infinite span too.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == ndim):
+        raise ParameterError(f"{what} must be a {ndim}-D float64 array, got {values!r}")
+    if not values.size:
+        raise ParameterError(f"{what} must hold at least one value, got {values!r}")
+    low, high = float(values.min()), float(values.max())
+    if not math.isfinite(high - low):
+        raise ParameterError(f"{what} must be finite with a finite max - min, got {values!r}")
+    return low, high
+
+
 class ScoreGrid(Frozen):
     """Expected scores from one query to every cell of one frame; ``values[w, h]``.
 
     ``values`` is a 2-D float64 array of at least one cell, every value
-    finite, else ParameterError. Two grids are equal when their values are,
-    element by element, and their scheme, query and frame are.
+    finite and ``max - min`` finite, else ParameterError. ``value_range`` is
+    ``(min, max)`` of ``values`` as floats. Two grids are equal when their
+    values are, element by element, and their scheme, query and frame are.
     """
 
     __match_args__ = ("values", "scheme", "query", "frame")
 
     def __init__(self, values: np.ndarray, scheme: SchemeConfig, query: PositionVector, frame: int):
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 2):
-            raise ParameterError(f"score grid values must be a 2-D float64 array, got {values!r}")
-        if not (values.size and np.isfinite(values).all()):
-            raise ParameterError(f"score grid values must be finite, at least one cell, got {values!r}")
+        value_range = _value_range(values, 2, "score grid values")
         self.__dict__.update(values=values, scheme=scheme, query=query, frame=frame)
-
-    @functools.cached_property
-    def value_range(self) -> tuple[float, float]:
-        """``(min, max)`` of ``values`` as floats, computed on first read."""
-        return float(self.values.min()), float(self.values.max())
+        self.__dict__.update(value_range=value_range)
 
     def __eq__(self, other):
         if not isinstance(other, ScoreGrid):
@@ -107,13 +123,16 @@ class ScoreGrid(Frozen):
 class DecayCurve(Frozen):
     """Expected self-score as a function of a uniform per-pair offset.
 
-    ``values[delta]`` is the score at offset ``delta`` (read-only float64);
-    two curves are equal when their values are, element by element.
+    ``values[delta]`` is the score at offset ``delta``: a 1-D float64 array
+    (read-only from :func:`decay_curve`) of at least one value, checked as
+    :class:`ScoreGrid`'s are, else ParameterError. Two curves are equal when
+    their values are, element by element.
     """
 
     __match_args__ = ("values",)
 
     def __init__(self, values: np.ndarray):
+        _value_range(values, 1, "decay curve values")
         self.__dict__.update(values=values)
 
     @functools.cached_property
@@ -148,32 +167,40 @@ class TrialConfig(Frozen):
 class BoundaryScore(Frozen):
     """Mean expected self-score from the boundary text query to one key set.
 
-    ``target`` is ``"video"`` or ``"text"``.
+    ``scheme_id`` is one of ``SCHEME_IDS``, else ConfigError; ``target`` is
+    ``"video"`` or ``"text"`` and ``mean_score`` a finite real number,
+    stored as a float, else ParameterError.
     """
 
     __match_args__ = ("scheme_id", "target", "mean_score")
 
     def __init__(self, scheme_id: str, target: str, mean_score: float):
-        self.__dict__.update(scheme_id=scheme_id, target=target, mean_score=mean_score)
+        if scheme_id not in SCHEME_IDS:
+            raise ConfigError(f"unknown scheme {scheme_id!r}; expected one of {SCHEME_IDS}")
+        if target not in ("video", "text"):
+            raise ParameterError(f"boundary target must be 'video' or 'text', got {target!r}")
+        if isinstance(mean_score, bool) or not isinstance(mean_score, numbers.Real):
+            raise ParameterError(f"mean score must be a real number, got {mean_score!r}")
+        if not math.isfinite(mean_score):
+            raise ParameterError(f"mean score must be finite, got {mean_score}")
+        self.__dict__.update(scheme_id=scheme_id, target=target, mean_score=float(mean_score))
 
 
-def _check_frame(config: SchemeConfig, grid: VideoGrid, frame: int) -> int:
-    """``frame`` as an int; CoordinateError unless an integer inside ``grid``, ParameterError over the budget."""
+def _frame(config: SchemeConfig, grid: VideoGrid, frame: int, per_cell: int) -> tuple:
+    """``frame`` as an int, then its per-pair int64 ``first, a, b``.
+
+    Cell ``(w, h)`` sits at ``first + w*a + h*b``; ``first`` is cell
+    ``(0, 0)``, the video starting at 0. Raises CoordinateError unless
+    ``frame`` is an integer inside ``grid``, and ParameterError, before
+    anything is computed, if ``W*H*per_cell`` exceeds the array budget.
+    """
     frame = check_integer(frame, "frame index", CoordinateError)
     if not 0 <= frame < grid.frames:
         raise CoordinateError(f"frame index {frame} outside [0, {grid.frames - 1}]")
-    check_array_budget(grid.tokens_per_frame * config.pairs, f"a {grid.width}x{grid.height} frame")
-    return frame
-
-
-def _frame_steps(config: SchemeConfig, grid: VideoGrid, frame: int) -> tuple[np.ndarray, ...]:
-    """Per-pair int64 ``(first, a, b)`` of ``frame``: cell ``(w, h)`` sits at ``first + w*a + h*b``.
-
-    ``first`` is cell ``(0, 0)``, the video starting at 0; the frame is not checked here.
-    """
+    check_array_budget(grid.tokens_per_frame * per_cell, f"a {grid.width}x{grid.height} frame")
     alloc = group_allocation(config)
     a, b = video_map(config, grid, 0)[0][:2, alloc]  # the map's w and h rows
-    return video_positions(config, 0, 0, frame, grid, 0)[alloc], a, b
+    return frame, video_positions(config, 0, 0, frame, grid, 0)[alloc], a, b
 
 
 def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVector) -> ScoreGrid:
@@ -182,13 +209,12 @@ def heatmap(config: SchemeConfig, grid: VideoGrid, frame: int, query: PositionVe
     Cell positions are taken with the video starting at position 0; pass an
     absolute query vector (scores depend only on the differences). The
     frame is scored ``block_rows(H*d/2)`` columns at a time, each cell's exact
-    position ``first + h*b + w*a`` (:func:`_frame_steps`) subtracted from the
+    position ``first + h*b + w*a`` (:func:`_frame`) subtracted from the
     query once, so besides the ``W*H`` values one block's positions and angles,
     about ``rotary.BLOCK_ELEMENTS`` values each, are held at once.
     """
     q = pair_positions(query, config)[:, None, None]
-    frame = _check_frame(config, grid, frame)
-    first, a, b = _frame_steps(config, grid, frame)
+    frame, first, a, b = _frame(config, grid, frame, config.pairs)
     schedule = config.schedule()
     # blocks are (pairs, w, h), scored as their transpose: each cell's mean adds its pairs in one order
     column = first[:, None] + b[:, None] * np.arange(grid.height)  # the cells (0, h)
@@ -233,21 +259,17 @@ def monte_carlo_heatmap(
 
     Raises:
         ParameterError: if one trial's rotated keys (``W*H*d`` values)
-            exceed the array budget.
+            exceed the array budget, before any angle is computed.
     """
     schedule = config.schedule()
     d = config.d
-    frame = _check_frame(config, grid, frame)
-    first, a, b = _frame_steps(config, grid, frame)
+    frame, first, a, b = _frame(config, grid, frame, d)
     # offsets from the frame's cell (0, 0), exact integers until they meet theta:
     # the angles stay as small as the frame, however far into the video
     q_angles = (pair_positions(query, config) - first) * schedule.theta
     w, h = np.arange(grid.width)[:, None, None], np.arange(grid.height)[:, None]
     k_angles = (w * a + h * b) * schedule.theta
-    cells = grid.tokens_per_frame
-    # one trial's rotated keys, and each of the frame's two factor arrays, hold W*H*d values
-    check_array_budget(cells * d, f"Monte-Carlo keys over a {grid.width}x{grid.height} frame")
-    chunk = block_rows(cells * d)
+    chunk = block_rows(grid.tokens_per_frame * d)
     # a draw is a whole number of key blocks; each _trial_words call has a fixed cost
     draw = chunk * block_rows(chunk * d)
     # the query's and the frame's pair factors, once per call
@@ -260,8 +282,8 @@ def monte_carlo_heatmap(
     scratch = np.empty(rk_block.size)
     acc = np.zeros((grid.width, grid.height), dtype=np.float64)
     seed, trials = trial_config.seed, trial_config.trials
-    for first in range(0, trials, draw):
-        words = _trial_words(seed, first, min(first + draw, trials))
+    for draw_start in range(0, trials, draw):
+        words = _trial_words(seed, draw_start, min(draw_start + draw, trials))
         for start in range(0, len(words), chunk):
             block = words[start : start + chunk]
             n = len(block)

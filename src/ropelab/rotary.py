@@ -146,9 +146,9 @@ def rotate(x, angles) -> np.ndarray:
     arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
     no value, since every operation is elementwise.
 
-    Raises ParameterError, before anything is allocated, if an angle is NaN
-    or infinite, or if the broadcast result has more than the element
-    budget's values.
+    Raises ParameterError, before anything is allocated, if an angle or an
+    entry of ``x`` is NaN or infinite, or if the broadcast result has more
+    than the element budget's values.
     """
     x = np.asarray(x, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
@@ -165,6 +165,8 @@ def rotate(x, angles) -> np.ndarray:
         )
     if not np.isfinite(angles).all():
         raise ParameterError("rotation angles must be finite, got a NaN or infinite angle")
+    if not np.isfinite(x).all():
+        raise ParameterError("vector entries must be finite, got a NaN or infinite entry")
     try:
         lead = np.broadcast_shapes(x.shape[:-1], angles.shape[:-1])
     except ValueError:
@@ -248,7 +250,8 @@ def attention_score(q, q_angles, k, k_angles) -> float:
 
     Depends only on the per-pair angle differences: shifting both angle
     vectors by a common offset leaves the score unchanged. Raises
-    ParameterError for a NaN or infinite angle, as :func:`rotate` does.
+    ParameterError for a NaN or infinite angle or vector entry, as
+    :func:`rotate` does.
     """
     rq = rotate(_as_vector(q, "q"), _as_vector(q_angles, "q_angles"))
     rk = rotate(_as_vector(k, "k"), _as_vector(k_angles, "k_angles"))
@@ -263,6 +266,8 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
     Treats pair ``j`` as the complex number ``x[2j] + i x[2j+1]`` and sums
     ``Re[q_j * conj(k_j) * exp(i * (q_pos[j] - k_pos[j]) * theta[j])]``.
     Kept independent of the rotation path so the two can check each other.
+    Raises ParameterError for a NaN or infinite vector entry, position or
+    angle ``(q_pos[j] - k_pos[j]) * theta[j]``.
     """
     q = _as_vector(q, "q")
     k = _as_vector(k, "k")
@@ -270,6 +275,8 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
         raise DimensionError(
             f"q/k lengths ({q.size}, {k.size}) do not match schedule d={schedule.d}"
         )
+    if not (np.isfinite(q).all() and np.isfinite(k).all()):
+        raise ParameterError("vector entries must be finite, got a NaN or infinite entry")
     q_positions = _as_vector(q_positions, "q_positions")
     k_positions = _as_vector(k_positions, "k_positions")
     if q_positions.size != schedule.pairs or k_positions.size != schedule.pairs:
@@ -277,9 +284,14 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
             f"expected {schedule.pairs} per-pair positions, got "
             f"{q_positions.size} and {k_positions.size}"
         )
+    # a NaN or infinite position, or a difference that overflows, gives a non-finite angle
+    with np.errstate(invalid="ignore", over="ignore"):
+        angles = (q_positions - k_positions) * schedule.theta
+    if not np.isfinite(angles).all():
+        raise ParameterError("(q_pos - k_pos) * theta must be finite, got a NaN or infinite angle")
     qc = q[0::2] + 1j * q[1::2]
     kc = k[0::2] + 1j * k[1::2]
-    phase = np.exp(1j * (q_positions - k_positions) * schedule.theta)
+    phase = np.exp(1j * angles)
     return float(np.sum((qc * np.conj(kc) * phase).real))
 
 

@@ -584,6 +584,22 @@ class TestMonteCarloHeatmap:
                 config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1)
             )
 
+    def test_over_budget_frame_is_refused_before_allocating(self, monkeypatch):
+        # W*H*d/2 fits the budget, so the closed form scores the frame; one trial's W*H*d keys do not
+        monkeypatch.setattr(rotary, "MAX_ARRAY_ELEMENTS", 64 * 64 * 32)
+        config = SchemeConfig("vrope", d=64)
+        video = VideoGrid(64, 64, 1)
+        heatmap(config, video, 0, (5, 5, 5, 5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="budget"):
+                monte_carlo_heatmap(config, video, 0, (5, 5, 5, 5), TrialConfig(seed=0, trials=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the frame's angles alone would be 1 MiB
+        assert peak < 0.25 * 2**20
+
 
 class TestTrialNormals:
     @pytest.mark.parametrize("start,stop", [(0, 1), (0, 257), (9990, 10000), (2**32 - 2, 2**32 + 2)])

@@ -324,6 +324,11 @@ class TestLayoutCsv:
                 "w/h/t 1,0,0 out of raster order; cell 0 of segment 1's 2x1x1 grid is 0,0,0",
             ),
             ("1,video,1,-1,0,0,1,,,", "w/h/t -1,0,0 out of raster order"),
+            # a 2x1x1 grid with a third row: the text goes on past every rendering
+            (
+                "1,video,1,0,0,0,1,,,\n2,video,1,1,0,0,2,,,\n3,video,1,1,0,0,2,,,",
+                "video segment 1 has 3 rows, its 2x1x1 grid has 2 cells",
+            ),
         ],
     )
     def test_bad_cell_reports_row(self, row, column):

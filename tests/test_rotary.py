@@ -167,10 +167,10 @@ class TestRotate:
         # inf * 0, inf - inf and cos(inf) are NaN, which numpy flags as invalid
         with np.errstate(invalid="ignore"):
             expected = _pair_formula(x, angles)
-            if np.isfinite(angles).all():
+            if np.isfinite(angles).all() and np.isfinite(x).all():
                 got = rotate(x, angles)
             else:
-                # rotate refuses a NaN or infinite angle; its kernel keeps the IEEE results
+                # rotate refuses a NaN or infinite angle or entry; its kernel keeps the IEEE results
                 with pytest.raises(ParameterError, match="finite"):
                     rotate(x, angles)
                 got = rotary.rotate_into(x, *rotary.rotation_factors(angles), np.empty(expected.shape))

@@ -17,16 +17,21 @@ from hypothesis import strategies as st
 
 import ropelab
 from ropelab import (
+    BoundaryScore,
+    ConfigError,
     CoordinateError,
+    DecayCurve,
     ParameterError,
     RopelabError,
     SchemeConfig,
+    ScoreGrid,
     TextSegment,
     TokenCoordinate,
     TrialConfig,
     VideoGrid,
     VideoSegment,
     attention_score,
+    attention_score_oracle,
     boundary_score_table,
     build_frequency_schedule,
     build_layout,
@@ -117,6 +122,35 @@ REJECTED = {
     ),
     "attention_score-nan": (ParameterError, lambda: attention_score(np.ones(4), [0, np.nan], np.ones(4), [0, 0])),
     "attention_score-inf": (ParameterError, lambda: attention_score(np.ones(4), [0, 0], np.ones(4), [-np.inf, 0])),
+    "rotate-x-inf": (ParameterError, lambda: rotate(np.array([np.inf, 0.0]), [0.0])),
+    "rotate-x-nan": (ParameterError, lambda: rotate(np.array([np.nan, 0.0]), [0.3])),
+    "attention_score-x-nan": (ParameterError, lambda: attention_score([1, 0], [0], [np.nan, 0], [0])),
+    "rotate_with_scheme-x-inf": (
+        ParameterError, lambda: rotate_with_scheme([0, 0, 0, -np.inf], (0,), SchemeConfig("rope1d", d=4))
+    ),
+    "attention_score_oracle-x-inf": (
+        ParameterError, lambda: attention_score_oracle([np.inf, 0, 0, 0], [0, 0], np.ones(4), [0, 0], _SCHEDULE)
+    ),
+    "attention_score_oracle-position-nan": (
+        ParameterError, lambda: attention_score_oracle(np.ones(4), [np.nan, 0], np.ones(4), [0, 0], _SCHEDULE)
+    ),
+    "attention_score_oracle-position-inf": (
+        ParameterError, lambda: attention_score_oracle(np.ones(4), [0, 0], np.ones(4), [0, np.inf], _SCHEDULE)
+    ),
+    "ScoreGrid-span-overflow": (
+        ParameterError, lambda: ScoreGrid(np.array([[1e308, -1e308]]), _ROPE3D, (0, 0, 0), 0)
+    ),
+    "DecayCurve-nan": (ParameterError, lambda: DecayCurve(np.array([np.nan]))),
+    "DecayCurve-empty": (ParameterError, lambda: DecayCurve(np.zeros(0))),
+    "DecayCurve-2d": (ParameterError, lambda: DecayCurve(np.zeros((2, 2)))),
+    "DecayCurve-list": (ParameterError, lambda: DecayCurve([0.5])),
+    "BoundaryScore-nan": (ParameterError, lambda: BoundaryScore("vrope", "video", math.nan)),
+    "BoundaryScore-inf": (ParameterError, lambda: BoundaryScore("vrope", "text", -math.inf)),
+    "BoundaryScore-bool": (ParameterError, lambda: BoundaryScore("vrope", "text", True)),
+    "BoundaryScore-str-mean": (ParameterError, lambda: BoundaryScore("vrope", "text", "0.5")),
+    "BoundaryScore-target": (ParameterError, lambda: BoundaryScore("vrope", "image", 0.5)),
+    "BoundaryScore-scheme-comma": (ConfigError, lambda: BoundaryScore("vrope,x", "video", 0.5)),
+    "BoundaryScore-scheme-newline": (ConfigError, lambda: BoundaryScore("vrope\nrope1d", "video", 0.5)),
     "symmetric_indices-nan": (CoordinateError, lambda: symmetric_indices(TokenCoordinate(math.nan, 0, 0))),
     "symmetric_indices-half": (CoordinateError, lambda: symmetric_indices(TokenCoordinate(0, 0.5, 0))),
     "text_position-nan": (ParameterError, lambda: text_position(math.nan, _ROPE3D)),
