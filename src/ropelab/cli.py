@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import re
 import sys
@@ -183,7 +184,8 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    return EXIT_CHECK_FAILED if run_selfcheck() else EXIT_OK
+    with _output("-") as output:
+        return EXIT_CHECK_FAILED if run_selfcheck(stream=output) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,5 +260,19 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program's entry point: ``sys.exit(main())`` with the import-time heap frozen.
+
+    ``gc.freeze`` moves every object alive after import out of the collector's
+    view. In a CLI process they live until exit anyway, so no collection, the
+    interpreter's shutdown ones included, walks them again. Objects made during
+    :func:`main` are collected as before. :func:`main` itself freezes nothing:
+    tests and library users call it in-process, and an importer's heap is not
+    a library's to freeze.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -39,6 +39,11 @@ MAX_ARRAY_ELEMENTS = 2**26
 # closed-form heatmap's and the decay curve's score blocks
 BLOCK_ELEMENTS = 2**16
 
+# a NaN or infinite vector entry gives a non-finite result, so one check of
+# the result covers the entries and an overflow of finite ones
+_NON_FINITE_ROTATION = "a rotation must be finite, got a NaN or infinite entry or an overflow"
+_NON_FINITE_SCORE = "a score must be finite, got a NaN or infinite entry or an overflow"
+
 
 class FrequencySchedule(Frozen):
     """Per-channel-pair rotation frequencies for a head of dimension ``d``.
@@ -146,10 +151,21 @@ def rotate(x, angles) -> np.ndarray:
     arithmetic, and ``b*cos + a*sin`` is ``a*sin + b*cos``; blocking changes
     no value, since every operation is elementwise.
 
-    Raises ParameterError, before anything is allocated, if an angle or an
-    entry of ``x`` is NaN or infinite, or if the broadcast result has more
-    than the element budget's values.
+    Raises ParameterError, before anything is allocated, if an angle is NaN
+    or infinite or if the broadcast result has more than the element
+    budget's values; and once the result is made, if any of its values is
+    not finite: a NaN or infinite entry of ``x`` gives one, and so does a
+    finite pair whose rotation overflows.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _rotate(x, angles)
+    if not np.isfinite(out).all():
+        raise ParameterError(_NON_FINITE_ROTATION)
+    return out
+
+
+def _rotate(x, angles) -> np.ndarray:
+    """:func:`rotate` without its errstate and its check of the result."""
     x = np.asarray(x, dtype=np.float64)
     angles = np.asarray(angles, dtype=np.float64)
     if x.ndim == 0 or angles.ndim == 0:
@@ -165,8 +181,6 @@ def rotate(x, angles) -> np.ndarray:
         )
     if not np.isfinite(angles).all():
         raise ParameterError("rotation angles must be finite, got a NaN or infinite angle")
-    if not np.isfinite(x).all():
-        raise ParameterError("vector entries must be finite, got a NaN or infinite entry")
     try:
         lead = np.broadcast_shapes(x.shape[:-1], angles.shape[:-1])
     except ValueError:
@@ -250,14 +264,20 @@ def attention_score(q, q_angles, k, k_angles) -> float:
 
     Depends only on the per-pair angle differences: shifting both angle
     vectors by a common offset leaves the score unchanged. Raises
-    ParameterError for a NaN or infinite angle or vector entry, as
-    :func:`rotate` does.
+    ParameterError for a NaN or infinite angle, as :func:`rotate` does, and
+    for a score that is not finite: a NaN or infinite vector entry gives
+    one, and so does a rotation or a dot product that overflows. The score
+    is checked once, for both rotations and the product.
     """
-    rq = rotate(_as_vector(q, "q"), _as_vector(q_angles, "q_angles"))
-    rk = rotate(_as_vector(k, "k"), _as_vector(k_angles, "k_angles"))
-    if rq.size != rk.size:
-        raise DimensionError(f"q and k lengths differ: {rq.size} vs {rk.size}")
-    return float(np.dot(rq, rk))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rq = _rotate(_as_vector(q, "q"), _as_vector(q_angles, "q_angles"))
+        rk = _rotate(_as_vector(k, "k"), _as_vector(k_angles, "k_angles"))
+        if rq.size != rk.size:
+            raise DimensionError(f"q and k lengths differ: {rq.size} vs {rk.size}")
+        score = float(np.dot(rq, rk))
+    if not math.isfinite(score):
+        raise ParameterError(_NON_FINITE_SCORE)
+    return score
 
 
 def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySchedule) -> float:
@@ -266,8 +286,10 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
     Treats pair ``j`` as the complex number ``x[2j] + i x[2j+1]`` and sums
     ``Re[q_j * conj(k_j) * exp(i * (q_pos[j] - k_pos[j]) * theta[j])]``.
     Kept independent of the rotation path so the two can check each other.
-    Raises ParameterError for a NaN or infinite vector entry, position or
-    angle ``(q_pos[j] - k_pos[j]) * theta[j]``.
+    Raises ParameterError for a NaN or infinite position or angle
+    ``(q_pos[j] - k_pos[j]) * theta[j]``, and then for a score that is not
+    finite: a NaN or infinite vector entry gives one, and so does a product
+    or a sum that overflows.
     """
     q = _as_vector(q, "q")
     k = _as_vector(k, "k")
@@ -275,8 +297,6 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
         raise DimensionError(
             f"q/k lengths ({q.size}, {k.size}) do not match schedule d={schedule.d}"
         )
-    if not (np.isfinite(q).all() and np.isfinite(k).all()):
-        raise ParameterError("vector entries must be finite, got a NaN or infinite entry")
     q_positions = _as_vector(q_positions, "q_positions")
     k_positions = _as_vector(k_positions, "k_positions")
     if q_positions.size != schedule.pairs or k_positions.size != schedule.pairs:
@@ -289,10 +309,14 @@ def attention_score_oracle(q, q_positions, k, k_positions, schedule: FrequencySc
         angles = (q_positions - k_positions) * schedule.theta
     if not np.isfinite(angles).all():
         raise ParameterError("(q_pos - k_pos) * theta must be finite, got a NaN or infinite angle")
-    qc = q[0::2] + 1j * q[1::2]
-    kc = k[0::2] + 1j * k[1::2]
-    phase = np.exp(1j * angles)
-    return float(np.sum((qc * np.conj(kc) * phase).real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        qc = q[0::2] + 1j * q[1::2]
+        kc = k[0::2] + 1j * k[1::2]
+        phase = np.exp(1j * angles)
+        score = float(np.sum((qc * np.conj(kc) * phase).real))
+    if not math.isfinite(score):
+        raise ParameterError(_NON_FINITE_SCORE)
+    return score
 
 
 def expected_self_score(delta, schedule: FrequencySchedule) -> float | np.ndarray:

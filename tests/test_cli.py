@@ -1,9 +1,11 @@
 """CLI tests: golden outputs, exit codes, determinism, SVG rendering."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ropelab
-from ropelab import csvblock, rotary
+from ropelab import cli, csvblock, rotary
 from ropelab import (
     SCHEME_IDS,
     RopelabError,
@@ -446,6 +448,10 @@ class TestSelfcheck:
         (line,) = result.stdout.splitlines()
         assert line.startswith("FAIL selfcheck: python -O") and "assert" in line
 
+    def test_closed_stdout_pipe_exits_3(self):
+        # the report is written whole at the end, so only a reader that takes none of it sees a closed pipe
+        _assert_closed_stdout_pipe_exits_3(["selfcheck"], 0)
+
 
 class TestExitCodes:
     def test_unknown_scheme_is_usage_error(self):
@@ -743,3 +749,35 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert result.stdout == "[]\n"
+
+
+class TestEntryPoint:
+    def test_run_freezes_once_then_exits_with_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run()
+        assert excinfo.value.code == 7
+        assert calls == ["freeze", "main"]
+
+    def test_main_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["decay", "--d", "2", "--max-delta", "3"]) == 0
+        assert capsys.readouterr().out == DECAY_GOLDEN
+        assert gc.get_freeze_count() == before
+
+    def test_import_freezes_nothing(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(ropelab.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", "import gc, ropelab.cli; print(gc.get_freeze_count())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout == "0\n"
+
+    def test_both_ways_of_starting_the_program_call_run(self):
+        # read as text: tomllib is not in Python 3.10
+        assert Path(cli.__file__).read_text().endswith('\nif __name__ == "__main__":\n    run()\n')
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r"^ropelab\s*=.*$", scripts, re.M) == ['ropelab = "ropelab.cli:run"']

@@ -158,6 +158,19 @@ REJECTED = {
     "pair_positions-numpy-bool": (ParameterError, lambda: pair_positions((np.True_, 0, 0), _ROPE3D)),
     "pair_positions-bool": (ParameterError, lambda: pair_positions((0, True, 0), _ROPE3D)),
     "pair_positions-bool-array": (ParameterError, lambda: pair_positions(np.array([True, False, True]), _ROPE3D)),
+    # finite inputs whose results overflow float64
+    "rotate-overflow": (ParameterError, lambda: rotate(np.array([1.7e308, 1.7e308]), [np.pi / 4])),
+    "rotate-batch-overflow": (ParameterError, lambda: rotate(np.full((3, 2), 1.7e308), [[np.pi / 4]])),
+    "attention_score-dot-overflow": (ParameterError, lambda: attention_score([1e200, 0], [0], [1e200, 0], [0])),
+    "attention_score-rotation-overflow": (
+        ParameterError, lambda: attention_score([1.7e308, 1.7e308], [np.pi / 4], [1, 0], [0])
+    ),
+    "attention_score_oracle-product-overflow": (
+        ParameterError, lambda: attention_score_oracle([1e200, 0, 0, 0], [0, 0], [1e200, 0, 0, 0], [0, 0], _SCHEDULE)
+    ),
+    "attention_score_oracle-sum-overflow": (
+        ParameterError, lambda: attention_score_oracle([1.7e308, 0, 1.7e308, 0], [0, 0], [1, 0, 1, 0], [0, 0], _SCHEDULE)
+    ),
 }
 
 
