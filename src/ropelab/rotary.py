@@ -155,7 +155,8 @@ def rotate(x, angles) -> np.ndarray:
     or infinite or if the broadcast result has more than the element
     budget's values; and once the result is made, if any of its values is
     not finite: a NaN or infinite entry of ``x`` gives one, and so does a
-    finite pair whose rotation overflows.
+    finite pair whose rotation overflows. An empty result has no values, so
+    ``x`` broadcast against an empty batch of angles is not checked.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = _rotate(x, angles)

@@ -181,6 +181,11 @@ def test_rejected_inputs_raise_their_ropelab_error(name):
         call()
 
 
+def test_rotate_checks_the_values_it_returns():
+    # one check of the result stands in for a pass over x, so an empty batch checks no entry
+    assert rotate(np.array([[np.nan, 0.0]]), np.empty((0, 1))).shape == (0, 2)
+
+
 @pytest.mark.parametrize("writer", [heatmap_csv, heatmap_svg])
 @settings(max_examples=80, deadline=None)
 @given(start=index, stop=index)
