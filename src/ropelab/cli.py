@@ -16,9 +16,9 @@ import sys
 
 from .diagnostics import (
     TrialConfig,
-    boundary_csv,
+    boundary_csv_blocks,
     boundary_score_table,
-    decay_csv,
+    decay_csv_blocks,
     decay_curve,
     heatmap,
     heatmap_csv_blocks,
@@ -109,10 +109,10 @@ def _output(path: str):
         return
     try:
         yield sys.stdout
-        sys.stdout.flush()  # here, so a closed pipe raises while it can still be handled
-    except BrokenPipeError:
-        # the reader has gone: what stdout still buffers goes to devnull at
-        # exit, instead of failing a second time in the interpreter's shutdown
+        sys.stdout.flush()  # here, so a failed write raises while it can still be handled
+    except OSError:
+        # stdout takes no more (a closed pipe, a full device): what it still buffers
+        # goes to devnull at exit, instead of failing again in the interpreter's shutdown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise
 
@@ -122,7 +122,7 @@ def _write(output, text: str) -> None:
 
 
 def _write_blocks(path: str, blocks) -> None:
-    """Write each text of ``blocks`` to the output of ``path`` in turn, never their join."""
+    """Write each text of a ``*_blocks`` iterator to the output of ``path``, never their join."""
     with _output(path) as output:
         for block in blocks:
             _write(output, block)
@@ -165,7 +165,8 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_decay(args) -> int:
     schedule = build_frequency_schedule(args.base, args.d)
-    _write_blocks(args.out, [decay_csv(decay_curve(schedule, args.max_delta))])
+    curve = decay_curve(schedule, args.max_delta)  # the budget is checked before --out is opened
+    _write_blocks(args.out, decay_csv_blocks(curve))
     return EXIT_OK
 
 
@@ -179,7 +180,7 @@ def _cmd_boundary(args) -> int:
             config,
         )
         rows.extend(boundary_score_table(layout))
-    _write_blocks(args.out, [boundary_csv(rows)])
+    _write_blocks(args.out, boundary_csv_blocks(rows))
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Blocks of rows, each CSV block formatted by a single ``%`` over a repeated row template.
 
 The row walks and the text writers (the layout's walk, the heatmap CSV and
-SVG, the decay CSV) take their rows through :func:`row_blocks`, at most
+SVG, the decay and boundary CSVs) take their rows through :func:`row_blocks`, at most
 ``BLOCK_ROWS`` rows at a time; the float kernels block by elements instead
 (:func:`ropelab.rotary.block_rows`). Every CSV writer (and the heatmap SVG
 writer) formats a block through :func:`format_block`: the block's columns

@@ -483,22 +483,45 @@ def heatmap_csv_blocks(grid: ScoreGrid):
 def decay_csv(curve: DecayCurve) -> str:
     """Decay curve as ``delta,value`` CSV rows, 6-decimal values.
 
-    Rows are formatted a block at a time from ``curve.values``, so no more
-    than one block's Python objects exist beside the text.
+    The text is the join of :func:`decay_csv_blocks`.
+    """
+    return "".join(decay_csv_blocks(curve))
+
+
+def decay_csv_blocks(curve: DecayCurve):
+    """An iterator over :func:`decay_csv`'s text: its header line, then each block's rows.
+
+    Rows are formatted a block of :func:`~ropelab.csvblock.row_blocks` at a
+    time from ``curve.values``, and only as the iterator is read, so no more
+    than one block's Python objects and text exist at once.
     """
     values = curve.values
-    pieces = ["delta,value\n"]
+    yield "delta,value\n"
     for rows in row_blocks(0, len(values)):
-        pieces.append(format_block("%d,%.6f\n", [rows, values[rows.start : rows.stop].tolist()]))
-    return "".join(pieces)
+        yield format_block("%d,%.6f\n", [rows, values[rows.start : rows.stop].tolist()])
 
 
 def boundary_csv(rows) -> str:
-    """Boundary score rows as ``scheme,target,mean_score`` CSV, 6-decimal values."""
+    """Boundary score rows as ``scheme,target,mean_score`` CSV, 6-decimal values.
+
+    The text is the join of :func:`boundary_csv_blocks`.
+    """
+    return "".join(boundary_csv_blocks(rows))
+
+
+def boundary_csv_blocks(rows):
+    """An iterator over :func:`boundary_csv`'s text: its header line, then each block's rows.
+
+    ``rows`` is read once, when the iterator is first read; then each block of
+    :func:`~ropelab.csvblock.row_blocks` is formatted by one ``format_block``.
+    """
     rows = list(rows)
-    columns = [[row.scheme_id for row in rows], [row.target for row in rows]]
-    columns.append([row.mean_score for row in rows])
-    return "scheme,target,mean_score\n" + format_block("%s,%s,%.6f\n", columns)
+    yield "scheme,target,mean_score\n"
+    for block in row_blocks(0, len(rows)):
+        part = rows[block.start : block.stop]
+        columns = [[row.scheme_id for row in part], [row.target for row in part]]
+        columns.append([row.mean_score for row in part])
+        yield format_block("%s,%s,%.6f\n", columns)
 
 
 __all__ = [
@@ -514,5 +537,7 @@ __all__ = [
     "heatmap_csv",
     "heatmap_csv_blocks",
     "decay_csv",
+    "decay_csv_blocks",
     "boundary_csv",
+    "boundary_csv_blocks",
 ]

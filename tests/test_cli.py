@@ -1,6 +1,7 @@
 """CLI tests: golden outputs, exit codes, determinism, SVG rendering."""
 
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -39,6 +40,9 @@ from ropelab import (
     VideoSegment,
     boundary_csv,
     boundary_score_table,
+    build_frequency_schedule,
+    decay_csv,
+    decay_curve,
 )
 from ropelab.cli import BOUNDARY_PROMPT_TOKENS, _heatmap_query, main
 from ropelab.diagnostics import ScoreGrid
@@ -262,6 +266,36 @@ def _assert_closed_stdout_pipe_exits_3(args, read):
     assert len(lines) == 1 and "Exception ignored" not in stderr
 
 
+# a command per writer, each with more than one block of output but the boundary table
+FULL_DEVICE_COMMANDS = {
+    "positions": ["positions", "--scheme", "vrope", "--layout", "text:2,video:64x64x8,text:1"],
+    "heatmap_csv": ["heatmap", "--scheme", "vrope", "--video", "64x64x1"],
+    "heatmap_svg": ["heatmap", "--scheme", "vrope", "--video", "64x64x1", "--svg", "/dev/full"],
+    "decay": ["decay", "--d", "64", "--max-delta", "200000"],
+    "boundary": ["boundary", "--scheme", "all", "--video", "8x8x64"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestWriteFailsAfterOpen:
+    # /dev/full opens, then every write to it fails with ENOSPC, so the
+    # failure comes after the output is open and (streamed) partly written
+    @pytest.mark.parametrize("target", ["--out", "stdout"])
+    @pytest.mark.parametrize("command", FULL_DEVICE_COMMANDS)
+    def test_full_device_exits_3_with_one_error_line(self, command, target):
+        args = FULL_DEVICE_COMMANDS[command] + (["--out", "/dev/full"] if target == "--out" else [])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(ropelab.__file__).parents[1])
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "ropelab.cli", *args],
+                stdout=full if target == "stdout" else subprocess.DEVNULL,
+                stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        assert result.returncode == 3
+        assert result.stderr == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+
+
 class TestDecay:
     def test_golden_stdout(self, capsys):
         rc = main(["decay", "--d", "2", "--base", "10000", "--max-delta", "3"])
@@ -280,9 +314,43 @@ class TestDecay:
         assert rc == 0
         assert capsys.readouterr().out == DECAY_GOLDEN
 
+    def test_streamed_bytes_equal_decay_csv(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "decay.csv"
+        args = ["decay", "--d", "64", "--max-delta", "10000"]
+        for rows in (1, 7, 4096):
+            monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+            expected = decay_csv(decay_curve(build_frequency_schedule(10000.0, 64), 10000))
+            assert main([*args, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
+            assert main([*args, "--out", "-"]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_peak_memory_does_not_grow_with_the_csv(self, tmp_path):
+        out = tmp_path / "decay.csv"
+        args = ["decay", "--d", "64", "--max-delta", "200000", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 3 * 2**20
+        # the curve's 1.6 MB of values and one block; the joined and encoded CSV peaked near 7.7 MiB
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"])
+    def test_over_budget_leaves_out_file_as_it_was(self, existing, tmp_path, capsys):
+        # the curve's budget is checked before --out is opened
+        out = tmp_path / "decay.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["decay", "--max-delta", "100000000000", "--out", str(out)]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == existing
+
     @pytest.mark.parametrize("read", [0, 100])
     def test_closed_stdout_pipe_exits_3(self, read):
-        # about 3 MB of CSV, written whole through the same output as positions' blocks
+        # about 3 MB of CSV, written a block at a time through the same output as positions' blocks
         _assert_closed_stdout_pipe_exits_3(["decay", "--d", "64", "--max-delta", "200000"], read)
 
 
@@ -403,6 +471,23 @@ class TestBoundary:
         schemes = [line.split(",")[0] for line in lines[1:]]
         assert schemes == [s for s in SCHEME_IDS for _ in range(2)]
 
+    def test_streamed_bytes_equal_boundary_csv(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "boundary.csv"
+        args = ["boundary", "--scheme", "all", "--video", "3x2x4", "--d", "8"]
+        video = VideoSegment(VideoGrid(3, 2, 4))
+        segments = [TextSegment(BOUNDARY_PROMPT_TOKENS), video, TextSegment(1)]
+        rows = [
+            row
+            for scheme in SCHEME_IDS
+            for row in boundary_score_table(build_layout(segments, SchemeConfig(scheme, d=8)))
+        ]
+        for block_rows in (1, 7, 4096):
+            monkeypatch.setattr(csvblock, "BLOCK_ROWS", block_rows)
+            expected = boundary_csv(rows)
+            assert main([*args, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.encode("utf-8")
+            assert main([*args, "--out", "-"]) == 0
+            assert capsys.readouterr().out == expected
 
     # a cubic grid such as 2x2x2 scores the same under every rope3d partition,
     # since its t, h and w offsets take the same values, so only 4x3x2 can differ

@@ -23,10 +23,12 @@ from ropelab import (
     VideoGrid,
     VideoSegment,
     boundary_csv,
+    boundary_csv_blocks,
     boundary_score_table,
     build_frequency_schedule,
     build_layout,
     decay_csv,
+    decay_csv_blocks,
     decay_curve,
     expected_self_score,
     heatmap,
@@ -683,6 +685,35 @@ class TestCsvFormats:
         lines = [f"{delta},{value:.6f}\n" for delta, value in curve.points]
         monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
         assert first_line_difference(decay_csv(curve), "delta,value\n" + "".join(lines)) is None
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_decay_csv_is_the_join_of_its_blocks(self, rows, monkeypatch):
+        curve = decay_curve(build_frequency_schedule(10000.0, 64), 5000)
+        lines = [f"{delta},{value:.6f}\n" for delta, value in curve.points]
+        expected = "delta,value\n" + "".join(lines)
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+        # the header, then a block per BLOCK_ROWS offsets
+        blocks = list(decay_csv_blocks(curve))
+        assert decay_csv(curve) == "".join(blocks) == expected
+        assert len(blocks) == 1 + -(-5001 // rows)
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_boundary_csv_is_the_join_of_its_blocks(self, rows, monkeypatch):
+        segments = [TextSegment(8), VideoSegment(VideoGrid(3, 2, 4)), TextSegment(1)]
+        table = [
+            row
+            for scheme in SCHEME_IDS
+            for row in boundary_score_table(build_layout(segments, SchemeConfig(scheme, d=8)))
+        ]
+        assert len(table) == 2 * len(SCHEME_IDS)
+        expected = "scheme,target,mean_score\n" + "".join(
+            f"{row.scheme_id},{row.target},{row.mean_score:.6f}\n" for row in table
+        )
+        monkeypatch.setattr(csvblock, "BLOCK_ROWS", rows)
+        blocks = list(boundary_csv_blocks(table))
+        assert boundary_csv(table) == boundary_csv(iter(table)) == "".join(blocks) == expected
+        assert len(blocks) == 1 + -(-len(table) // rows)
+        assert "".join(boundary_csv_blocks(())) == "scheme,target,mean_score\n"
 
     def test_decay_csv_frozen(self):
         curve = decay_curve(build_frequency_schedule(10000.0, 2), 3)
